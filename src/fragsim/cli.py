@@ -127,9 +127,10 @@ def _write_metadata(cfg, out_dir, extra=None):
 def cmd_snapshot(args) -> int:
     cfg = _resolve_config(args)
     topo, paths = _load_inputs(cfg)
+    with open(args.state) as fh:
+        text = fh.read()
     try:
-        state = SpectrumState.parse(open(args.state).read(),
-                                    topo.link_count, topo.slice_count)
+        state = SpectrumState.parse(text, topo.link_count, topo.slice_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bounds = compute_bounds(topo, paths)

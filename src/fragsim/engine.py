@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .metrics import (FragmentationReport, MetricBounds, compute_bounds,
                       snapshot_report)
-from .spectrum import SliceRange, SpectrumState
+from .spectrum import SliceRange, SpectrumFault, SpectrumState
 from .topology import BetaPathSet, Topology, all_pairs_routes
 from .traffic import (ARRIVAL, DEPARTURE, Demand, DemandGenerator,
                       DemandProfile, EventQueue)
@@ -129,7 +129,8 @@ class Simulation:
         while len(self.queue):
             t, kind, payload = self.queue.pop()
             self.clock = t
-            assert kind == DEPARTURE
+            if kind != DEPARTURE:
+                raise SpectrumFault(f"arrival queued at t={t} while draining")
             self.handle_departure(payload)
 
     def br_tr(self) -> float:
@@ -253,20 +254,20 @@ def run_steady_sweep(topology: Topology, points: list[SweepPoint], paths: BetaPa
     """Steady-state metric averages per grid point: discard `warmup` arrivals,
     average samples over the next `measure` arrivals, aggregate over
     replications with a 99% CI. br_tr here is measured within the window."""
-    if warmup + measure < 1:
-        raise ValueError("warmup + measure must be >= 1")
-    bounds_cache = {}
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if not 1 <= sample_every <= measure:
+        raise ValueError(f"measure ({measure}) must be >= sample_every "
+                         f"({sample_every}) >= 1, or the window holds no sample")
+    bounds = compute_bounds(topology, paths)
     cells = []
     for pt in points:
         profile = DemandProfile(pt.arrival_rate, pt.mean_holding, pt.max_demand, seed)
-        if id(paths) not in bounds_cache:
-            bounds_cache[id(paths)] = compute_bounds(topology, paths)
-        bounds = bounds_cache[id(paths)]
         rep_means: dict[str, list[float]] = {n: [] for n in METRIC_NAMES}
         for rep in range(replications):
             sim = Simulation(topology, profile, paths, replication=rep, bounds=bounds)
-            sim.run(warmup, sample_every=max(1, warmup))  # warmup, no samples kept
-            sim.samples.clear()
+            if warmup:
+                sim.run(warmup, sample_every=warmup + 1)  # takes no sample
             blocked0, total0 = sim.blocked_requests, sim.total_requests
             sim.run(measure, sample_every=sample_every, sample_from=warmup)
             for name in METRIC_NAMES:

@@ -9,6 +9,11 @@ fragmented). lefm is the link-based external fragmentation baseline.
 All functions are pure over read-only snapshots. The "no free slice"
 situation is reported as None; snapshot_report maps it to the
 no-fragmentation convention (a fully busy spectrum is not fragmented).
+
+snapshot_report makes one pass over the links: it takes each link's longest
+free run once and feeds those runs to both alpha and lefm, and beta reads
+one free matrix of all links. compute_alpha and compute_lefm wrap the same
+private helpers, so each gives exactly the value snapshot_report reports.
 """
 
 from __future__ import annotations
@@ -54,29 +59,42 @@ def report_csv_row(t: float, arrivals: int, rep: FragmentationReport, br_tr: flo
     return f"{t:.6f},{arrivals}," + ",".join(f"{v:.6f}" for v in vals)
 
 
-def compute_alpha(state: SpectrumState) -> float | None:
-    """Contiguity component; None when no link has a free slice."""
+def _longest_runs(state: SpectrumState) -> list[int]:
+    return [state.max_contiguous_free(lid) for lid in range(state.link_count)]
+
+
+def _alpha(free: list[int], runs: list[int]) -> float | None:
     total = 0.0
     n = 0
-    for lid in range(state.link_count):
-        ss = state.free[lid]
-        if ss == 0:
-            continue
-        total += state.max_contiguous_free(lid) / ss
-        n += 1
+    for ss, cg in zip(free, runs):
+        if ss:
+            total += cg / ss
+            n += 1
     if n == 0:
         return None
     return total / n
+
+
+def _lefm(total_free: int, runs: list[int]) -> float | None:
+    if total_free == 0:
+        return None
+    return 1.0 - sum(runs) / total_free
+
+
+def compute_alpha(state: SpectrumState) -> float | None:
+    """Contiguity component; None when no link has a free slice."""
+    return _alpha(state.free, _longest_runs(state))
 
 
 def compute_beta(state: SpectrumState, paths: BetaPathSet) -> float | None:
     """Continuity component over the trail cover; None when nothing is free
     on any trail. A trail with no free slice anywhere contributes its
     no-fragmentation value 1."""
+    free = state.free_matrix().astype(np.int32)
     vals = []
     any_free = False
     for hops in paths.paths:
-        mat = np.stack([state.free_bits(lid) for lid in hops]).astype(np.int32)
+        mat = free[hops]
         avail = mat.sum(axis=0)               # AS per slice index
         run = np.zeros(mat.shape[1], dtype=np.int32)
         best = np.zeros(mat.shape[1], dtype=np.int32)
@@ -150,11 +168,7 @@ def adapted_components(alpha: float, beta: float, bounds: MetricBounds) -> tuple
 def compute_lefm(state: SpectrumState) -> float | None:
     """Link-based external fragmentation: 1 - (sum of longest free runs over
     all links) / (total free slices network-wide)."""
-    total_free = sum(state.free)
-    if total_free == 0:
-        return None
-    total_cg = sum(state.max_contiguous_free(lid) for lid in range(state.link_count))
-    return 1.0 - total_cg / total_free
+    return _lefm(sum(state.free), _longest_runs(state))
 
 
 def snapshot_report(state: SpectrumState, paths: BetaPathSet,
@@ -164,10 +178,11 @@ def snapshot_report(state: SpectrumState, paths: BetaPathSet,
     A component with nothing free contributes its no-fragmentation value 1;
     a fully busy spectrum reports avfm = 0."""
     util = state.utilization()
-    el = sum(1 for lid in range(state.link_count) if state.free[lid] > 0)
-    alpha = compute_alpha(state)
+    el = sum(1 for ss in state.free if ss > 0)
+    runs = _longest_runs(state)
+    alpha = _alpha(state.free, runs)
     beta = compute_beta(state, paths)
-    lefm = compute_lefm(state)
+    lefm = _lefm(sum(state.free), runs)
     if alpha is None and beta is None:
         return FragmentationReport(1.0, 1.0, bounds.vfm_max, 1.0, 0.0, 0.0, 0.0,
                                    0.0, util, el)

@@ -3,6 +3,11 @@
 Each link's spectrum is one Python integer used as a bitmask (bit j set =
 slice j busy). Word-parallel scans below are bit-exact with a naive per-bit
 loop; the test suite checks that against an independent oracle.
+
+A metrics snapshot reads each link once: `max_contiguous_free` gives its
+longest free run in O(log run) big-int operations, and `free_matrix` gives
+every link's free map as one (links x slices) array for the per-slice
+continuity component.
 """
 
 from __future__ import annotations
@@ -45,12 +50,24 @@ class SpectrumState:
         return self.free[link]
 
     def max_contiguous_free(self, link: int) -> int:
-        """Length of the longest run of free slices on one link."""
-        f = self.free_mask(link)
-        n = 0
-        while f:
-            f &= f >> 1
-            n += 1
+        """Length of the longest run of free slices on one link.
+
+        Bit j of `g` marks a run of at least `n` free slices starting at
+        slice j. Doubling `n` finds the largest power of two not above the
+        longest run; halving steps then add its lower bits, highest first."""
+        g = self.free_mask(link)
+        if not g:
+            return 0
+        n = 1
+        while h := g & (g >> n):
+            g = h
+            n *= 2
+        step = n // 2
+        while step:
+            if h := g & (g >> step):
+                g = h
+                n += step
+            step //= 2
         return n
 
     def free_bits(self, link: int) -> np.ndarray:
@@ -59,6 +76,15 @@ class SpectrumState:
         raw = self.free_mask(link).to_bytes(nbytes, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little")[: self.slice_count]
+
+    def free_matrix(self) -> np.ndarray:
+        """Free maps of all links as a (links x slices) 0/1 matrix; row
+        `link` equals `free_bits(link)`."""
+        nbytes = (self.slice_count + 7) // 8
+        full = self._full
+        raw = b"".join((~occ & full).to_bytes(nbytes, "little") for occ in self.occ)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.link_count, nbytes)
+        return np.unpackbits(rows, axis=1, bitorder="little")[:, : self.slice_count]
 
     def find_first_fit(self, route: list[int], width: int) -> SliceRange | None:
         """Smallest start index where `width` slices are free on every route link."""

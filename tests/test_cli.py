@@ -175,3 +175,22 @@ class TestExperiments:
         assert lines[0] == CSV_HEADER
         utils = [float(l.split(",")[2]) for l in lines[1:]]
         assert max(utils) >= 0.99
+
+    def test_sweep_measure_below_sample_every_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep",
+                               "--topology", data_file("fig_example.json"),
+                               "--loads", "3", "--max-demands", "2",
+                               "--warmup", "100", "--measure", "50",
+                               "--replications", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert "measure (50)" in err and "sample_every (100)" in err
+
+    def test_sweep_without_warmup(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "sweep",
+                             "--topology", data_file("fig_example.json"),
+                             "--loads", "3", "--max-demands", "2",
+                             "--warmup", "0", "--measure", "200",
+                             "--replications", "2", "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 11

@@ -6,9 +6,9 @@ import pytest
 from conftest import data_file
 from fragsim.engine import (Simulation, make_grid, mean_ci99, run_steady_sweep,
                             run_transient, run_utilization_scan, t99)
-from fragsim.spectrum import SliceRange
+from fragsim.spectrum import SliceRange, SpectrumFault
 from fragsim.topology import Topology, build_beta_paths, load_topology
-from fragsim.traffic import Demand, DemandGenerator, DemandProfile
+from fragsim.traffic import ARRIVAL, Demand, DemandGenerator, DemandProfile
 from reference import RefSim, ref_alpha, ref_beta, ref_lefm
 
 
@@ -85,6 +85,13 @@ class TestDeparture:
         sim = make_sim(pair)
         with pytest.raises(KeyError):
             sim.handle_departure(999)
+
+
+    def test_drain_faults_on_queued_arrival(self, pair):
+        sim = make_sim(pair)
+        sim.queue.push(1.0, ARRIVAL, sim.gen.next_demand())
+        with pytest.raises(SpectrumFault):
+            sim.drain()
 
 
 class TestInvariants:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import data_file
+from fragsim.engine import Simulation
 from fragsim.metrics import (MetricBounds, adapted_components, beta_path_bound,
                              compute_alpha, compute_beta, compute_bounds,
                              compute_lefm, compute_vfm, normalize, raw_nvfm,
@@ -12,6 +13,7 @@ from fragsim.metrics import (MetricBounds, adapted_components, beta_path_bound,
 from fragsim.spectrum import SpectrumState
 from fragsim.topology import (BetaPathSet, Topology, build_beta_paths,
                               load_topology)
+from fragsim.traffic import DemandProfile
 from reference import ref_alpha, ref_beta, ref_lefm
 
 
@@ -377,3 +379,34 @@ class TestSnapshotReport:
         rep = snapshot_report(st, ps, compute_bounds(t, ps))
         assert rep.beta == 1.0
         assert rep.alpha == 0.5
+
+    @staticmethod
+    def assert_matches_components(st, ps, b):
+        """The one-pass report equals each separately computed component,
+        exactly, with the no-free-slice conventions applied."""
+        rep = snapshot_report(st, ps, b)
+        alpha, beta, lefm = compute_alpha(st), compute_beta(st, ps), compute_lefm(st)
+        assert rep.alpha == (1.0 if alpha is None else alpha)
+        assert rep.beta == (1.0 if beta is None else beta)
+        assert rep.lefm == (0.0 if lefm is None else lefm)
+        assert rep.el_size == sum(1 for lid in range(st.link_count)
+                                  if st.free_count(lid) > 0)
+
+    def test_fields_equal_components(self):
+        t = load_topology(data_file("german.json"))
+        ps = build_beta_paths(t)
+        b = compute_bounds(t, ps)
+        empty = SpectrumState(t.link_count, t.slice_count)
+        full = empty.clone()
+        full.occ = [(1 << t.slice_count) - 1] * t.link_count
+        full.free = [0] * t.link_count
+        chequered = empty.clone()
+        for lid in range(t.link_count):
+            chequered.occ[lid] = sum(1 << j for j in range(lid % 2, t.slice_count, 2))
+            chequered.free[lid] = t.slice_count // 2
+        for st in (empty, full, chequered):
+            self.assert_matches_components(st, ps, b)
+        sim = Simulation(t, DemandProfile.resolve(16, 3, load=60.0), ps, bounds=b)
+        for _ in range(20):
+            sim.run(40, sample_every=41)
+            self.assert_matches_components(sim.state, ps, b)

@@ -49,6 +49,60 @@ class TestCounts:
             assert st.max_contiguous_free(0) == max_run(bits)
 
 
+def naive_longest_free(occ, slice_count):
+    return max_run([(occ >> j) & 1 == 0 for j in range(slice_count)])
+
+
+class TestLongestRun:
+    """The doubling-then-halving run length against a per-bit loop."""
+
+    SLICE_COUNTS = (1, 7, 8, 9, 64, 320)
+
+    def test_every_single_run(self):
+        # one free run of every length at every start, rest busy, so the
+        # per-bit answer is the run's length; this includes runs touching
+        # slice 0 and slice S-1 and the fully free link
+        for s in self.SLICE_COUNTS:
+            st = SpectrumState(1, s)
+            full = (1 << s) - 1
+            for start in range(s):
+                for length in range(1, s - start + 1):
+                    st.occ[0] = full ^ (((1 << length) - 1) << start)
+                    assert st.max_contiguous_free(0) == length, (s, start, length)
+            st.occ[0] = full
+            assert st.max_contiguous_free(0) == 0
+
+    def test_every_bitmap_of_small_links(self):
+        for s in (1, 7, 8, 9):
+            st = SpectrumState(1, s)
+            for occ in range(1 << s):
+                st.occ[0] = occ
+                assert st.max_contiguous_free(0) == naive_longest_free(occ, s)
+
+    def test_random_bitmaps_of_wide_links(self):
+        rnd = random.Random(5)
+        for s in (64, 320):
+            st = SpectrumState(1, s)
+            for _ in range(300):
+                # busy density from sparse to dense, so runs of every scale occur
+                p = rnd.choice((0.005, 0.02, 0.1, 0.5, 0.9))
+                occ = sum(1 << j for j in range(s) if rnd.random() < p)
+                st.occ[0] = occ
+                assert st.max_contiguous_free(0) == naive_longest_free(occ, s)
+
+
+class TestFreeMatrix:
+    def test_rows_equal_free_bits(self):
+        rnd = random.Random(6)
+        for s in (1, 7, 8, 9, 64, 320):
+            st = SpectrumState(5, s)
+            st.occ = [0, (1 << s) - 1] + [rnd.getrandbits(s) for _ in range(3)]
+            mat = st.free_matrix()
+            assert mat.shape == (5, s)
+            for lid in range(5):
+                assert mat[lid].tolist() == st.free_bits(lid).tolist()
+
+
 class TestFirstFit:
     def test_two_link_intersection(self):
         st = SpectrumState(2, 8)
