@@ -8,6 +8,6 @@ from .metrics import (FragmentationReport, MetricBounds, compute_alpha,
                       normalize, snapshot_report)
 from .spectrum import SliceRange, SpectrumState
 from .topology import (BetaPathSet, Link, Topology, build_beta_paths,
-                       load_beta_paths, load_topology, shortest_path)
+                       load_beta_paths, load_topology)
 from .traffic import Demand, DemandGenerator, DemandProfile, EventQueue
 from .engine import Simulation, run_steady_sweep, run_transient, run_utilization_scan

@@ -17,9 +17,10 @@ import sys
 import tempfile
 
 from . import __version__
-from .engine import (METRIC_NAMES, Simulation, make_grid, run_steady_sweep,
-                     run_transient, run_utilization_scan)
-from .metrics import CSV_HEADER, compute_bounds, report_csv_row, snapshot_report
+from .engine import (ESCALATE_EVERY, ESCALATE_FACTOR, Simulation, make_grid,
+                     run_steady_sweep, run_transient, run_utilization_scan)
+from .metrics import (CSV_HEADER, METRICS, SUMMARY_METRICS, compute_bounds,
+                      report_csv_row, snapshot_report)
 from .spectrum import SpectrumState
 from .topology import (TopologyError, build_beta_paths, load_beta_paths,
                        load_topology)
@@ -33,7 +34,7 @@ DEFAULTS = {
     "holding": None,
     "max_demand": 16,
     "arrivals": 5000,
-    "sample_every": 25,
+    "sample_every": None,  # unset: the command's own default below
     "warmup": 20000,
     "measure": 30000,
     "loads": [40.0, 60.0, 80.0, 100.0],
@@ -43,6 +44,10 @@ DEFAULTS = {
     "scan_target": 0.99,
     "scan_max_arrivals": 500000,
 }
+
+
+# sampling interval in arrivals when neither flag nor config file sets one
+SAMPLE_EVERY = {"transient": 25, "sweep": 100, "scan": 200}
 
 
 class ConfigError(ValueError):
@@ -79,16 +84,34 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+def _build_paths(cfg, topo):
+    paths = build_beta_paths(topo, cfg.get("path_count"))
+    if paths.warning:
+        print(f"warning: requested {cfg['path_count']} paths, "
+              f"achieved {len(paths.paths)}", file=sys.stderr)
+    return paths
+
+
 def _load_inputs(cfg):
     topo = load_topology(cfg["topology"])
     if cfg.get("paths"):
-        paths = load_beta_paths(cfg["paths"], topo)
-    else:
-        paths = build_beta_paths(topo, cfg.get("path_count"))
-        if paths.warning:
-            print(f"warning: requested {cfg['path_count']} paths, "
-                  f"achieved {len(paths.paths)}", file=sys.stderr)
-    return topo, paths
+        return topo, load_beta_paths(cfg["paths"], topo)
+    return topo, _build_paths(cfg, topo)
+
+
+def _experiment(args):
+    """Shared set-up of transient, sweep and scan: the resolved config with
+    the command's effective sample interval, the inputs and the output
+    directory."""
+    cfg = _resolve_config(args)
+    if cfg["sample_every"] is None:
+        cfg["sample_every"] = SAMPLE_EVERY[args.command]
+    if int(cfg["sample_every"]) < 1:
+        raise ConfigError(f"sample_every must be >= 1, got {cfg['sample_every']}")
+    topo, paths = _load_inputs(cfg)
+    out = cfg.get("out") or "."
+    os.makedirs(out, exist_ok=True)
+    return cfg, topo, paths, out
 
 
 def _profile(cfg) -> DemandProfile:
@@ -96,11 +119,6 @@ def _profile(cfg) -> DemandProfile:
                                  arrival_rate=cfg.get("lambda"),
                                  mean_holding=cfg.get("holding"),
                                  load=cfg.get("load"))
-
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -111,10 +129,18 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_samples(path, samples) -> None:
+    lines = [CSV_HEADER]
+    lines += [report_csv_row(s.t, s.arrivals, s.report, s.br_tr) for s in samples]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _write_metadata(cfg, out_dir, extra=None):
+    with open(cfg["topology"], "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     meta = {
         "config": {k: cfg.get(k) for k in sorted(cfg)},
-        "topology_sha256": _sha256(cfg["topology"]),
+        "topology_sha256": digest,
         "rng": RNG_NAME,
         "version": __version__,
     }
@@ -135,8 +161,7 @@ def cmd_snapshot(args) -> int:
         raise ConfigError(str(exc)) from exc
     bounds = compute_bounds(topo, paths)
     rep = snapshot_report(state, paths, bounds)
-    for name in ["alpha", "beta", "vfm", "nvfm", "avfm", "a_alpha", "a_beta",
-                 "lefm", "utilization"]:
+    for name in METRICS:
         print(f"{name} {getattr(rep, name):.6f}")
     print(f"el_size {rep.el_size}")
     print(f"vfm_min {bounds.vfm_min:.6f}")
@@ -155,35 +180,24 @@ def cmd_dump_state(args) -> int:
 
 def cmd_make_paths(args) -> int:
     cfg = _resolve_config(args)
-    topo = load_topology(cfg["topology"])
-    paths = build_beta_paths(topo, cfg.get("path_count"))
-    doc = {"paths": paths.node_paths}
-    text = json.dumps(doc, indent=2) + "\n"
+    paths = _build_paths(cfg, load_topology(cfg["topology"]))
+    text = json.dumps({"paths": paths.node_paths}, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-    if paths.warning:
-        print(f"warning: requested {cfg['path_count']} paths, achieved "
-              f"{len(paths.paths)}", file=sys.stderr)
     return 0
 
 
 def cmd_transient(args) -> int:
-    cfg = _resolve_config(args)
-    topo, paths = _load_inputs(cfg)
-    out = cfg.get("out") or "."
-    os.makedirs(out, exist_ok=True)
+    cfg, topo, paths, out = _experiment(args)
     res = run_transient(topo, _profile(cfg), paths, int(cfg["arrivals"]),
                         int(cfg["sample_every"]), int(cfg["replications"]))
     for r, samples in enumerate(res.replication_samples):
-        lines = [CSV_HEADER]
-        lines += [report_csv_row(s.t, s.arrivals, s.report, s.br_tr) for s in samples]
-        _atomic_write(os.path.join(out, f"transient_rep{r}.csv"),
-                      "\n".join(lines) + "\n")
+        _write_samples(os.path.join(out, f"transient_rep{r}.csv"), samples)
     lines = ["arrivals,metric,mean,ci99"]
     for i, n in enumerate(res.sample_arrivals):
-        for name in METRIC_NAMES:
+        for name in SUMMARY_METRICS:
             m, hw = res.series[name][i]
             lines.append(f"{n},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "transient_summary.csv"), "\n".join(lines) + "\n")
@@ -193,22 +207,17 @@ def cmd_transient(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    topo, paths = _load_inputs(cfg)
-    out = cfg.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    loads = [float(x) for x in cfg["loads"]]
-    mds = [int(x) for x in cfg["max_demands"]]
-    grid = make_grid(loads, mds, arrival_rate=cfg.get("lambda"),
-                     mean_holding=cfg.get("holding"))
+    cfg, topo, paths, out = _experiment(args)
+    grid = make_grid([float(x) for x in cfg["loads"]],
+                     [int(x) for x in cfg["max_demands"]],
+                     arrival_rate=cfg.get("lambda"), mean_holding=cfg.get("holding"))
     res = run_steady_sweep(topo, grid, paths, int(cfg["warmup"]),
                            int(cfg["measure"]), int(cfg["replications"]),
-                           int(cfg["seed"]))
+                           int(cfg["seed"]), int(cfg["sample_every"]))
     lines = ["load,max_demand,lambda,holding,metric,mean,ci99"]
     for cell in res.cells:
         p = cell.point
-        for name in METRIC_NAMES:
-            m, hw = cell.stats[name]
+        for name, (m, hw) in cell.stats.items():
             lines.append(f"{p.load:g},{p.max_demand},{p.arrival_rate:g},"
                          f"{p.mean_holding:g},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
@@ -217,20 +226,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _resolve_config(args)
-    topo, paths = _load_inputs(cfg)
-    out = cfg.get("out") or "."
-    os.makedirs(out, exist_ok=True)
+    cfg, topo, paths, out = _experiment(args)
     res = run_utilization_scan(topo, _profile(cfg), paths,
                                target=float(cfg["scan_target"]),
+                               sample_every=int(cfg["sample_every"]),
                                max_arrivals=int(cfg["scan_max_arrivals"]))
     if not res.reached_target:
         print(f"warning: reached utilization {res.max_utilization:.4f} "
               f"< target {cfg['scan_target']}", file=sys.stderr)
-    lines = [CSV_HEADER]
-    lines += [report_csv_row(s.t, s.arrivals, s.report, s.br_tr) for s in res.samples]
-    _atomic_write(os.path.join(out, "scan.csv"), "\n".join(lines) + "\n")
+    _write_samples(os.path.join(out, "scan.csv"), res.samples)
     _write_metadata(cfg, out, {"experiment": "scan",
+                               "escalate_every": ESCALATE_EVERY,
+                               "escalate_factor": ESCALATE_FACTOR,
                                "reached_target": res.reached_target,
                                "max_utilization": res.max_utilization})
     return 0
@@ -264,22 +271,18 @@ def build_parser():
                                  description="Spectrum fragmentation metrics and "
                                              "dynamic-traffic simulation for EONs")
     sub = ap.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("snapshot", help="compute metrics for a state dump")
-    p.add_argument("state", help="state dump file")
-    _add_common(p)
-    p.set_defaults(func=cmd_snapshot)
-    for name, fn, help_ in [("transient", cmd_transient, "transient-trace experiment"),
-                            ("sweep", cmd_sweep, "steady-state load sweep"),
-                            ("scan", cmd_scan, "utilization scan to near-full spectrum")]:
+    for name, fn, help_ in [
+            ("snapshot", cmd_snapshot, "compute metrics for a state dump"),
+            ("transient", cmd_transient, "transient-trace experiment"),
+            ("sweep", cmd_sweep, "steady-state load sweep"),
+            ("scan", cmd_scan, "utilization scan to near-full spectrum"),
+            ("dump-state", cmd_dump_state, "run a short simulation and print the bitmap state"),
+            ("make-paths", cmd_make_paths, "emit the computed beta-path cover")]:
         p = sub.add_parser(name, help=help_)
+        if fn is cmd_snapshot:
+            p.add_argument("state", help="state dump file")
         _add_common(p)
         p.set_defaults(func=fn)
-    p = sub.add_parser("dump-state", help="run a short simulation and print the bitmap state")
-    _add_common(p)
-    p.set_defaults(func=cmd_dump_state)
-    p = sub.add_parser("make-paths", help="emit the computed beta-path cover")
-    _add_common(p)
-    p.set_defaults(func=cmd_make_paths)
     return ap
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .metrics import (FragmentationReport, MetricBounds, compute_bounds,
-                      snapshot_report)
+from .metrics import (METRICS, SUMMARY_METRICS, FragmentationReport,
+                      MetricBounds, compute_bounds, snapshot_report)
 from .spectrum import SliceRange, SpectrumFault, SpectrumState
 from .topology import BetaPathSet, Topology, all_pairs_routes
 from .traffic import (ARRIVAL, DEPARTURE, Demand, DemandGenerator,
@@ -72,8 +72,6 @@ class Simulation:
     def __init__(self, topology: Topology, profile: DemandProfile,
                  paths: BetaPathSet, replication: int = 0,
                  bounds: MetricBounds | None = None, window: int = 1000):
-        self.topology = topology
-        self.profile = profile
         self.paths = paths
         self.bounds = bounds or compute_bounds(topology, paths)
         self.routes = all_pairs_routes(topology)
@@ -136,47 +134,51 @@ class Simulation:
     def br_tr(self) -> float:
         return self.blocked_requests / self.total_requests if self.total_requests else 0.0
 
-    def br_tr_windowed(self) -> float:
-        return sum(self._window) / len(self._window) if self._window else 0.0
-
     def take_sample(self) -> Sample:
         rep = snapshot_report(self.state, self.paths, self.bounds)
         if rep.clamped:
             self.clamp_events += 1
         s = Sample(self.clock, self.total_requests, rep, self.br_tr(),
-                   self.br_tr_windowed())
+                   sum(self._window) / len(self._window) if self._window else 0.0)
         self.samples.append(s)
         return s
 
-    def run(self, arrivals: int, sample_every: int, sample_from: int = 0) -> list[Sample]:
+    def run(self, arrivals: int, sample_every: int) -> list[Sample]:
+        """Process `arrivals` demands, sampling after every `sample_every`-th
+        of them (counted from the start of this call)."""
         if arrivals < 1:
             raise ValueError("arrivals must be >= 1")
         first = len(self.samples)
-        for _ in range(arrivals):
+        for n in range(1, arrivals + 1):
             self.step_arrival(self.gen.next_demand())
-            n = self.total_requests
-            if n > sample_from and (n - sample_from) % sample_every == 0:
+            if n % sample_every == 0:
                 self.take_sample()
         return self.samples[first:]
 
-    def run_trace(self, demands: list[Demand]) -> list[bool]:
-        """Replay a fixed demand list; True per demand = admitted."""
-        return [self.step_arrival(d) is not None for d in demands]
 
-    def active_slice_units(self) -> int:
-        return sum(c.range.width * len(c.route) for c in self.connections.values())
+def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProfile],
+               replications: int, drive) -> list[list]:
+    """drive(sim) on one fresh Simulation per (profile, replication index),
+    as result[profile][replication].
+
+    The bounds are computed once and shared. Each replication index keys its
+    own Philox stream, so every run is independent of the others."""
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    bounds = compute_bounds(topology, paths)
+    return [[drive(Simulation(topology, p, paths, replication=r, bounds=bounds))
+             for r in range(replications)] for p in profiles]
 
 
-METRIC_NAMES = ["utilization", "alpha", "beta", "vfm", "nvfm", "avfm",
-                "a_alpha", "a_beta", "lefm", "br_tr", "br_tr_win"]
+def _values(s: Sample) -> list[float]:
+    """One sample's values in SUMMARY_METRICS order."""
+    return [getattr(s.report, name) for name in METRICS] + [s.br_tr, s.br_tr_win]
 
 
-def _sample_value(s: Sample, name: str) -> float:
-    if name == "br_tr":
-        return s.br_tr
-    if name == "br_tr_win":
-        return s.br_tr_win
-    return getattr(s.report, name)
+def _summarise(rows: list[list[float]]) -> dict[str, tuple[float, float]]:
+    """(mean, ci99 half-width) per metric over replication rows in
+    SUMMARY_METRICS order."""
+    return {name: mean_ci99(list(col)) for name, col in zip(SUMMARY_METRICS, zip(*rows))}
 
 
 @dataclass
@@ -185,7 +187,6 @@ class TransientResult:
     # metric -> list over sample points of (mean, ci99 half-width)
     series: dict[str, list[tuple[float, float]]]
     replication_samples: list[list[Sample]]
-    replications: int
     clamp_events: int = 0
 
 
@@ -193,20 +194,13 @@ def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet
                   arrivals: int, sample_every: int, replications: int) -> TransientResult:
     """Evolution from an empty network until `arrivals` requests, averaged
     across replications at fixed arrival counts."""
-    bounds = compute_bounds(topology, paths)
-    all_samples = []
-    clamps = 0
-    for rep in range(replications):
-        sim = Simulation(topology, profile, paths, replication=rep, bounds=bounds)
-        sim.run(arrivals, sample_every)
-        all_samples.append(sim.samples)
-        clamps += sim.clamp_events
-    points = [s.arrivals for s in all_samples[0]]
-    series = {}
-    for name in METRIC_NAMES:
-        series[name] = [mean_ci99([_sample_value(reps[i], name) for reps in all_samples])
-                        for i in range(len(points))]
-    return TransientResult(points, series, all_samples, replications, clamps)
+    [runs] = _replicate(topology, paths, [profile], replications,
+                        lambda sim: (sim.run(arrivals, sample_every), sim.clamp_events))
+    samples = [s for s, _ in runs]
+    points = [s.arrivals for s in samples[0]]
+    stats = [_summarise([_values(rep[i]) for rep in samples]) for i in range(len(points))]
+    series = {name: [st[name] for st in stats] for name in SUMMARY_METRICS}
+    return TransientResult(points, series, samples, sum(c for _, c in runs))
 
 
 @dataclass
@@ -221,16 +215,12 @@ class SweepPoint:
 class SweepCell:
     point: SweepPoint
     # metric -> (mean, ci99 half-width) of the steady-state window average
-    stats: dict[str, tuple[float, float]] = field(default_factory=dict)
-    rep_means: dict[str, list[float]] = field(default_factory=dict)
+    stats: dict[str, tuple[float, float]]
 
 
 @dataclass
 class SweepResult:
     cells: list[SweepCell]
-    warmup: int
-    measure: int
-    replications: int
 
 
 def make_grid(loads: list[float], max_demands: list[int],
@@ -259,30 +249,26 @@ def run_steady_sweep(topology: Topology, points: list[SweepPoint], paths: BetaPa
     if not 1 <= sample_every <= measure:
         raise ValueError(f"measure ({measure}) must be >= sample_every "
                          f"({sample_every}) >= 1, or the window holds no sample")
-    bounds = compute_bounds(topology, paths)
-    cells = []
-    for pt in points:
-        profile = DemandProfile(pt.arrival_rate, pt.mean_holding, pt.max_demand, seed)
-        rep_means: dict[str, list[float]] = {n: [] for n in METRIC_NAMES}
-        for rep in range(replications):
-            sim = Simulation(topology, profile, paths, replication=rep, bounds=bounds)
-            if warmup:
-                sim.run(warmup, sample_every=warmup + 1)  # takes no sample
-            blocked0, total0 = sim.blocked_requests, sim.total_requests
-            sim.run(measure, sample_every=sample_every, sample_from=warmup)
-            for name in METRIC_NAMES:
-                if name == "br_tr":
-                    d_total = sim.total_requests - total0
-                    v = (sim.blocked_requests - blocked0) / d_total if d_total else 0.0
-                else:
-                    vals = [_sample_value(s, name) for s in sim.samples]
-                    v = sum(vals) / len(vals)
-                rep_means[name].append(v)
-        cell = SweepCell(pt)
-        cell.rep_means = rep_means
-        cell.stats = {n: mean_ci99(vs) for n, vs in rep_means.items()}
-        cells.append(cell)
-    return SweepResult(cells, warmup, measure, replications)
+
+    def window_means(sim: Simulation) -> list[float]:
+        if warmup:
+            sim.run(warmup, sample_every=warmup + 1)  # takes no sample
+        blocked0 = sim.blocked_requests
+        sim.run(measure, sample_every)
+        means = [sum(col) / len(col) for col in zip(*map(_values, sim.samples))]
+        # br_tr is the blocking ratio of the window, not a mean of cumulative ratios
+        means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
+        return means
+
+    profiles = [DemandProfile(pt.arrival_rate, pt.mean_holding, pt.max_demand, seed)
+                for pt in points]
+    rows = _replicate(topology, paths, profiles, replications, window_means)
+    return SweepResult([SweepCell(pt, _summarise(r)) for pt, r in zip(points, rows)])
+
+
+# escalation of the offered load in run_utilization_scan
+ESCALATE_EVERY = 2000
+ESCALATE_FACTOR = 1.5
 
 
 @dataclass
@@ -294,8 +280,9 @@ class ScanResult:
 
 def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
                          target: float = 0.99, sample_every: int = 200,
-                         escalate_every: int = 2000, escalate_factor: float = 1.5,
-                         max_arrivals: int = 500_000, replication: int = 0) -> ScanResult:
+                         escalate_every: int = ESCALATE_EVERY,
+                         escalate_factor: float = ESCALATE_FACTOR,
+                         max_arrivals: int = 500_000) -> ScanResult:
     """Drive the network from empty toward full occupancy, sampling metrics
     across the whole utilization range.
 
@@ -303,22 +290,22 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
     through churn; once arrivals vastly outpace departures the spectrum
     fills toward 1.0. If the target utilization is not reached within the
     arrival budget the result carries a warning flag."""
-    bounds = compute_bounds(topology, paths)
-    sim = Simulation(topology, profile, paths, replication=replication, bounds=bounds)
-    sim.take_sample()  # the empty-network point
-    max_util = 0.0
-    n = 0
-    while n < max_arrivals:
-        sim.step_arrival(sim.gen.next_demand())
-        n += 1
-        if n % escalate_every == 0:
-            p = sim.gen.profile
-            sim.gen.profile = DemandProfile(p.arrival_rate_per_node * escalate_factor,
-                                            p.mean_holding, p.max_demand, p.seed)
-        util = sim.state.utilization()
-        max_util = max(max_util, util)
-        if n % sample_every == 0 or util >= target:
-            sim.take_sample()
-            if util >= target:
-                return ScanResult(sim.samples, True, max_util)
-    return ScanResult(sim.samples, False, max_util)
+    def scan(sim: Simulation) -> ScanResult:
+        sim.take_sample()  # the empty-network point
+        max_util = 0.0
+        for n in range(1, max_arrivals + 1):
+            sim.step_arrival(sim.gen.next_demand())
+            if n % escalate_every == 0:
+                p = sim.gen.profile
+                sim.gen.profile = DemandProfile(p.arrival_rate_per_node * escalate_factor,
+                                                p.mean_holding, p.max_demand, p.seed)
+            util = sim.state.utilization()
+            max_util = max(max_util, util)
+            if n % sample_every == 0 or util >= target:
+                sim.take_sample()
+                if util >= target:
+                    return ScanResult(sim.samples, True, max_util)
+        return ScanResult(sim.samples, False, max_util)
+
+    [[result]] = _replicate(topology, paths, [profile], 1, scan)
+    return result

@@ -50,12 +50,19 @@ class FragmentationReport:
     clamped: bool = False  # raw nvfm fell outside [0,1]
 
 
-CSV_HEADER = "t,arrivals,utilization,alpha,beta,vfm,nvfm,avfm,a_alpha,a_beta,lefm,br_tr"
+# The reported FragmentationReport fields in output column order; every list
+# of metric names (CSV columns, summaries, the snapshot printout) derives
+# from this tuple.
+METRICS = ("utilization", "alpha", "beta", "vfm", "nvfm", "avfm", "a_alpha",
+           "a_beta", "lefm")
+# Runner summaries add the blocking ratio since the start and over the
+# trailing admission window; per-sample CSVs carry only the first.
+SUMMARY_METRICS = METRICS + ("br_tr", "br_tr_win")
+CSV_HEADER = ",".join(("t", "arrivals") + SUMMARY_METRICS[:-1])
 
 
 def report_csv_row(t: float, arrivals: int, rep: FragmentationReport, br_tr: float) -> str:
-    vals = [rep.utilization, rep.alpha, rep.beta, rep.vfm, rep.nvfm, rep.avfm,
-            rep.a_alpha, rep.a_beta, rep.lefm, br_tr]
+    vals = [getattr(rep, name) for name in METRICS] + [br_tr]
     return f"{t:.6f},{arrivals}," + ",".join(f"{v:.6f}" for v in vals)
 
 

@@ -37,12 +37,6 @@ class SpectrumState:
         self.occ = [0] * link_count
         self.free = [slice_count] * link_count
 
-    def clone(self) -> "SpectrumState":
-        s = SpectrumState(self.link_count, self.slice_count)
-        s.occ = list(self.occ)
-        s.free = list(self.free)
-        return s
-
     def free_mask(self, link: int) -> int:
         return ~self.occ[link] & self._full
 

@@ -73,9 +73,6 @@ class Topology:
         ln = self.links[2 * k]
         return ln.src, ln.dst
 
-    def reverse_link(self, link_id: int) -> int:
-        return link_id ^ 1
-
     def _check_connected(self):
         seen = {0}
         stack = [0]
@@ -116,77 +113,39 @@ def load_topology(path: str) -> Topology:
     return Topology.from_fibers(name, nodes, fibers, slices)
 
 
-# A route is an ordered list of directed link ids.
-Route = list
-
-
-def _bfs_dist(t: Topology, src: int) -> list[int]:
-    dist = [-1] * t.node_count
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for lid in t.adjacency[u]:
-                v = t.links[lid].dst
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def shortest_path(t: Topology, src: int, dst: int) -> Route:
-    """Minimum-hop route from src to dst.
+def all_pairs_routes(t: Topology) -> dict[tuple[int, int], list[int]]:
+    """The fixed minimum-hop route, as directed link ids, for every ordered
+    node pair.
 
     Ties are broken by choosing the lowest-index predecessor at every step
     (and the lowest link id between a node pair), so routes are identical
-    run to run.
+    run to run: the breadth-first search expands each level in node order
+    and each node's links in (dst, id) order, so the first link to reach a
+    node is the one the rule picks.
     """
-    if src == dst:
-        raise TopologyError("src and dst must differ")
-    dist = _bfs_dist(t, src)
-    route = []
-    v = dst
-    while v != src:
-        best_u, best_lid = None, None
-        for ln in t.links:
-            if ln.dst == v and dist[ln.src] == dist[v] - 1:
-                if best_u is None or (ln.src, ln.id) < (best_u, best_lid):
-                    best_u, best_lid = ln.src, ln.id
-        route.append(best_lid)
-        v = best_u
-    route.reverse()
-    return route
-
-
-def all_pairs_routes(t: Topology) -> dict[tuple[int, int], Route]:
-    """Precompute the fixed route for every ordered node pair."""
-    incoming = [[] for _ in range(t.node_count)]
-    for ln in t.links:
-        incoming[ln.dst].append(ln)
     routes = {}
     for src in range(t.node_count):
-        dist = _bfs_dist(t, src)
-        parent_link = [None] * t.node_count
-        for v in range(t.node_count):
-            if v == src:
-                continue
-            best = None
-            for ln in incoming[v]:
-                if dist[ln.src] == dist[v] - 1:
-                    if best is None or (ln.src, ln.id) < (best.src, best.id):
-                        best = ln
-            parent_link[v] = best
+        parent_link = [-1] * t.node_count
+        seen = {src}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for lid in t.adjacency[u]:
+                    v = t.links[lid].dst
+                    if v not in seen:
+                        seen.add(v)
+                        parent_link[v] = lid
+                        nxt.append(v)
+            frontier = sorted(nxt)
         for dst in range(t.node_count):
             if dst == src:
                 continue
             route = []
             v = dst
             while v != src:
-                ln = parent_link[v]
-                route.append(ln.id)
-                v = ln.src
+                route.append(parent_link[v])
+                v = t.links[parent_link[v]].src
             route.reverse()
             routes[(src, dst)] = route
     return routes
@@ -202,7 +161,7 @@ class BetaPathSet:
     """
     paths: list[list[int]]        # directed link ids per trail
     node_paths: list[list[int]]   # node sequence per trail
-    hop_counts: list[int]
+    hop_counts: list[int] = field(init=False)
     warning: bool = False         # requested path count could not be met
 
     def __post_init__(self):
@@ -320,21 +279,15 @@ def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPat
     if not odd:
         trails_nodes, trails_fibers = _decompose(t, None, [])
     else:
+        candidates = (((e1, e2), pairing) for e1, e2 in itertools.combinations(odd, 2)
+                      for pairing in _pairings([u for u in odd if u not in (e1, e2)]))
         best = None
-        count = 0
-        for e1, e2 in itertools.combinations(odd, 2):
-            rest = [u for u in odd if u not in (e1, e2)]
-            for pairing in _pairings(rest):
-                tn, tf = _decompose(t, (e1, e2), pairing)
-                lengths = sorted(len(f) for f in tf)
-                score = (lengths[0], -lengths[-1], -len(tf))
-                if best is None or score > best[0]:
-                    best = (score, tn, tf)
-                count += 1
-                if count >= _PAIRING_BUDGET:
-                    break
-            if count >= _PAIRING_BUDGET:
-                break
+        for endpoints, pairing in itertools.islice(candidates, _PAIRING_BUDGET):
+            tn, tf = _decompose(t, endpoints, pairing)
+            lengths = sorted(len(f) for f in tf)
+            score = (lengths[0], -lengths[-1], -len(tf))
+            if best is None or score > best[0]:
+                best = (score, tn, tf)
         _, trails_nodes, trails_fibers = best
 
     warning = False
@@ -353,7 +306,7 @@ def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPat
                 trails_nodes += [ns[:cut + 1], ns[cut:]]
 
     link_paths = [_fibers_to_links(t, ns, fs) for ns, fs in zip(trails_nodes, trails_fibers)]
-    return BetaPathSet(link_paths, trails_nodes, [], warning=warning)
+    return BetaPathSet(link_paths, trails_nodes, warning=warning)
 
 
 def _fibers_to_links(t: Topology, node_seq: list[int], fiber_seq: list[int]) -> list[int]:
@@ -380,7 +333,7 @@ def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
         fiber_of[(a, b)] = k
         fiber_of[(b, a)] = k
     covered = set()
-    link_paths, fiber_paths = [], []
+    link_paths = []
     for ns in node_paths:
         if len(ns) < 2:
             raise TopologyError("path must have at least one hop")
@@ -395,9 +348,8 @@ def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
             seen_here.add(k)
             fibers.append(k)
         covered |= seen_here
-        fiber_paths.append(fibers)
         link_paths.append(_fibers_to_links(t, ns, fibers))
     if covered != set(range(t.fiber_count)):
         missing = sorted(set(range(t.fiber_count)) - covered)
         raise TopologyError(f"paths do not cover fibers {missing}")
-    return BetaPathSet(link_paths, node_paths, [])
+    return BetaPathSet(link_paths, node_paths)

@@ -12,7 +12,6 @@ every run is reproducible from its metadata.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from dataclasses import dataclass
 
@@ -111,33 +110,10 @@ class EventQueue:
         heapq.heappush(self._heap, (time, kind, ident, payload))
 
     def pop(self):
-        """Next (time, kind, payload), or None when exhausted."""
-        if not self._heap:
-            return None
+        """Next (time, kind, payload); the queue must not be empty."""
         time, kind, _, payload = heapq.heappop(self._heap)
         return time, kind, payload
 
     def __len__(self):
         return len(self._heap)
 
-
-TRACE_HEADER = ["id", "src", "dst", "width", "arrival_time", "holding_time"]
-
-
-def export_trace(demands: list[Demand], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for d in demands:
-            w.writerow([d.id, d.src, d.dst, d.width,
-                        repr(d.arrival_time), repr(d.holding_time)])
-
-
-def import_trace(path: str) -> list[Demand]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(Demand(int(row["id"]), int(row["src"]), int(row["dst"]),
-                              int(row["width"]), float(row["arrival_time"]),
-                              float(row["holding_time"])))
-    return out

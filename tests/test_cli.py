@@ -194,3 +194,38 @@ class TestExperiments:
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 11
+
+    def test_sweep_honours_sample_every(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "sweep",
+                             "--topology", data_file("fig_example.json"),
+                             "--loads", "3", "--max-demands", "2",
+                             "--warmup", "100", "--measure", "50",
+                             "--sample-every", "10",
+                             "--replications", "2", "--out", str(tmp_path))
+        assert code == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["config"]["sample_every"] == 10
+
+    @pytest.mark.parametrize("command,want", [("transient", 25), ("sweep", 100),
+                                              ("scan", 200)])
+    def test_default_sample_every_per_command(self, capsys, tmp_path, command, want):
+        # every experiment accepts every flag; each records its effective interval
+        code, _, _ = run_cli(capsys, command,
+                             "--topology", data_file("fig_example.json"),
+                             "--load", "4", "--max-demand", "2", "--arrivals", "100",
+                             "--loads", "3", "--max-demands", "2", "--warmup", "0",
+                             "--measure", "200", "--replications", "2",
+                             "--scan-max-arrivals", "400", "--out", str(tmp_path))
+        assert code == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["config"]["sample_every"] == want
+        if command == "scan":
+            assert (meta["escalate_every"], meta["escalate_factor"]) == (2000, 1.5)
+
+    def test_sample_every_below_one_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "transient",
+                               "--topology", data_file("fig_example.json"),
+                               "--arrivals", "100", "--sample-every", "0",
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert "sample_every" in err

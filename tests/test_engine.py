@@ -100,7 +100,8 @@ class TestInvariants:
         for _ in range(400):
             sim.step_arrival(sim.gen.next_demand())
             occupied = sim.state.occupied_total()
-            assert occupied == sim.active_slice_units()
+            assert occupied == sum(c.range.width * len(c.route)
+                                   for c in sim.connections.values())
         sim.drain()
         assert sim.state.occ == [0] * chain4.link_count
         assert sim.state.utilization() == 0.0
@@ -112,11 +113,12 @@ class TestInvariants:
         demands = [gen.next_demand() for _ in range(300)]
         profile = DemandProfile(8.0, 1.0, 8, 21)
         base = Simulation(t, profile, paths)
-        base.run_trace(demands)
+        for d in demands:
+            base.step_arrival(d)
         grown = Simulation(t, profile, paths)
-        grown.run_trace([Demand(d.id, d.src, d.dst, d.width + 1,
-                                d.arrival_time, d.holding_time)
-                         for d in demands])
+        for d in demands:
+            grown.step_arrival(Demand(d.id, d.src, d.dst, d.width + 1,
+                                      d.arrival_time, d.holding_time))
         assert grown.br_tr() >= base.br_tr()
 
     def test_determinism_bit_identical(self, chain4):
@@ -137,7 +139,7 @@ class TestOracleEquivalence:
         gen = DemandGenerator(profile, 4)
         demands = [gen.next_demand() for _ in range(300)]
         sim = Simulation(t, profile, paths)
-        decisions = sim.run_trace(demands)
+        decisions = [sim.step_arrival(d) is not None for d in demands]
         ref = RefSim(4, fibers, 12)
         ref_decisions = [ref.arrival(d) for d in demands]
         assert decisions == ref_decisions

@@ -112,7 +112,7 @@ class TestAlpha:
 
 
 def single_path_set(hops):
-    ps = BetaPathSet([hops], [[0] * (len(hops) + 1)], [])
+    ps = BetaPathSet([hops], [[0] * (len(hops) + 1)])
     return ps
 
 
@@ -157,7 +157,7 @@ class TestBeta:
         # path 0 fully busy, path 1 chequered over 4 hops
         rows = ["000000"] + ["101010", "010101", "101010", "010101"]
         st = state_from_free(rows)
-        ps = BetaPathSet([[0], [1, 2, 3, 4]], [[0, 1], [0, 1, 2, 3, 4]], [])
+        ps = BetaPathSet([[0], [1, 2, 3, 4]], [[0, 1], [0, 1, 2, 3, 4]])
         assert compute_beta(st, ps) == pytest.approx((1.0 + 0.5) / 2)
 
 
@@ -374,7 +374,7 @@ class TestSnapshotReport:
         # free capacity only off the covered direction: beta reports as
         # unfragmented, alpha still evaluated
         t = Topology.from_fibers("pair", 2, [(0, 1)], 8)
-        ps = BetaPathSet([[0]], [[0, 1]], [])
+        ps = BetaPathSet([[0]], [[0, 1]])
         st = state_from_free(["00000000", "10100000"])
         rep = snapshot_report(st, ps, compute_bounds(t, ps))
         assert rep.beta == 1.0
@@ -397,10 +397,10 @@ class TestSnapshotReport:
         ps = build_beta_paths(t)
         b = compute_bounds(t, ps)
         empty = SpectrumState(t.link_count, t.slice_count)
-        full = empty.clone()
+        full = SpectrumState(t.link_count, t.slice_count)
         full.occ = [(1 << t.slice_count) - 1] * t.link_count
         full.free = [0] * t.link_count
-        chequered = empty.clone()
+        chequered = SpectrumState(t.link_count, t.slice_count)
         for lid in range(t.link_count):
             chequered.occ[lid] = sum(1 << j for j in range(lid % 2, t.slice_count, 2))
             chequered.free[lid] = t.slice_count // 2

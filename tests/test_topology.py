@@ -7,7 +7,7 @@ import pytest
 from conftest import data_file, write_topology
 from fragsim.topology import (BetaPathSet, Topology, TopologyError,
                               all_pairs_routes, build_beta_paths,
-                              load_beta_paths, load_topology, shortest_path)
+                              load_beta_paths, load_topology)
 
 
 def bfs_dist(node_count, fibers, src):
@@ -69,24 +69,27 @@ class TestLoad:
 
 
 class TestShortestPath:
+    """The fixed minimum-hop routes of all_pairs_routes."""
+
     def test_triangle_direct(self, triangle):
-        r = shortest_path(triangle, 0, 2)
+        r = all_pairs_routes(triangle)[(0, 2)]
         assert len(r) == 1
         assert triangle.links[r[0]].src == 0 and triangle.links[r[0]].dst == 2
 
     def test_line_unique(self, line4):
-        r = shortest_path(line4, 0, 3)
+        r = all_pairs_routes(line4)[(0, 3)]
         assert len(r) == 3
         assert [line4.links[l].src for l in r] == [0, 1, 2]
 
     def test_square_with_diagonal_matches_bfs(self):
         fibers = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         t = Topology.from_fibers("sq", 4, fibers, 8)
+        routes = all_pairs_routes(t)
         for s in range(4):
             dist = bfs_dist(4, fibers, s)
             for d in range(4):
                 if s != d:
-                    assert len(shortest_path(t, s, d)) == dist[d]
+                    assert len(routes[(s, d)]) == dist[d]
 
     def test_random_graphs_match_bfs(self):
         rnd = random.Random(42)
@@ -96,14 +99,15 @@ class TestShortestPath:
             extra = [(a, b) for a in range(n) for b in range(a + 2, n)]
             fibers += rnd.sample(extra, min(len(extra), rnd.randint(0, n)))
             t = Topology.from_fibers("rand", n, fibers, 4)
+            routes = all_pairs_routes(t)
             for s in range(n):
                 dist = bfs_dist(n, fibers, s)
                 for d in range(n):
                     if s != d:
-                        assert len(shortest_path(t, s, d)) == dist[d]
+                        assert len(routes[(s, d)]) == dist[d]
 
     def test_route_is_valid_chain(self, triangle):
-        r = shortest_path(triangle, 1, 2)
+        r = all_pairs_routes(triangle)[(1, 2)]
         for a, b in zip(r, r[1:]):
             assert triangle.links[a].dst == triangle.links[b].src
         assert len(set(r)) == len(r)
@@ -111,19 +115,21 @@ class TestShortestPath:
     def test_tie_break_lowest_node(self):
         # two 2-hop routes 0-1-3 and 0-2-3: predecessor 1 must win
         t = Topology.from_fibers("tie", 4, [(0, 1), (0, 2), (1, 3), (2, 3)], 8)
-        r = shortest_path(t, 0, 3)
+        r = all_pairs_routes(t)[(0, 3)]
         assert [t.links[l].src for l in r] == [0, 1]
 
     def test_all_pairs_matches_single(self, triangle):
+        # every pair of the triangle is adjacent: each route is its one link
         routes = all_pairs_routes(triangle)
         for s in range(3):
             for d in range(3):
                 if s != d:
-                    assert routes[(s, d)] == shortest_path(triangle, s, d)
+                    assert routes[(s, d)] == [ln.id for ln in triangle.links
+                                              if (ln.src, ln.dst) == (s, d)]
 
     def test_same_endpoints_rejected(self, triangle):
-        with pytest.raises(TopologyError):
-            shortest_path(triangle, 1, 1)
+        routes = all_pairs_routes(triangle)
+        assert set(routes) == {(s, d) for s in range(3) for d in range(3) if s != d}
 
 
 def covered_fibers(t, ps):

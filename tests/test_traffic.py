@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from fragsim.traffic import (ARRIVAL, DEPARTURE, Demand, DemandGenerator,
-                             DemandProfile, EventQueue, export_trace,
-                             import_trace)
+from fragsim.traffic import (ARRIVAL, DEPARTURE, DemandGenerator, DemandProfile,
+                             EventQueue)
 
 
 class TestProfile:
@@ -141,9 +140,6 @@ class TestEventQueue:
         q.push(1.0, DEPARTURE, 4)
         assert q.pop()[2] == 4
 
-    def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
     def test_random_events_match_sort_oracle(self):
         rnd = random.Random(9)
         events = [(round(rnd.uniform(0, 100), 2), rnd.choice([ARRIVAL, DEPARTURE]), i)
@@ -152,18 +148,7 @@ class TestEventQueue:
         for t, kind, ident in events:
             q.push(t, kind, ident)
         popped = []
-        while True:
-            e = q.pop()
-            if e is None:
-                break
-            popped.append(e)
+        while q:
+            popped.append(q.pop())
         assert popped == sorted(events)
 
-
-class TestTrace:
-    def test_round_trip(self, tmp_path):
-        gen = DemandGenerator(DemandProfile(3.0, 1.0, 8, 5), 4)
-        demands = [gen.next_demand() for _ in range(50)]
-        path = str(tmp_path / "trace.csv")
-        export_trace(demands, path)
-        assert import_trace(path) == demands
