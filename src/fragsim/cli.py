@@ -22,29 +22,42 @@ from .engine import (ESCALATE_EVERY, ESCALATE_FACTOR, Simulation, make_grid,
 from .metrics import (CSV_HEADER, METRICS, SUMMARY_METRICS, compute_bounds,
                       report_csv_row, snapshot_report)
 from .spectrum import SpectrumState
-from .topology import (TopologyError, build_beta_paths, load_beta_paths,
-                       load_topology)
+from .topology import build_beta_paths, load_beta_paths, load_topology
 from .traffic import RNG_NAME, DemandProfile
 
-DEFAULTS = {
-    "seed": 1,
-    "replications": 10,
-    "load": 50.0,
-    "lambda": None,
-    "holding": None,
-    "max_demand": 16,
-    "arrivals": 5000,
-    "sample_every": None,  # unset: the command's own default below
-    "warmup": 20000,
-    "measure": 30000,
-    "loads": [40.0, 60.0, 80.0, 100.0],
-    "max_demands": [16],
-    "paths": None,
-    "path_count": None,
-    "scan_target": 0.99,
-    "scan_max_arrivals": 500000,
-}
 
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+# Every run option as (key, parser, default, help). Its flag is --key with
+# "_" written "-", and a config-file value is read by the same parser.
+OPTIONS = (
+    ("topology", str, None, "topology JSON file"),
+    ("paths", str, None, "beta-path JSON file (overrides the heuristic)"),
+    ("path_count", int, None, None),
+    ("seed", int, 1, None),
+    ("out", str, None, "output directory (or file for make-paths)"),
+    ("replications", int, 10, None),
+    ("load", float, 50.0, "Erlangs per node"),
+    ("lambda", float, None, "arrival rate per node"),
+    ("holding", float, None, "mean holding time"),
+    ("max_demand", int, 16, None),
+    ("arrivals", int, 5000, None),
+    ("sample_every", int, None, "arrivals between samples "
+                                "(default: transient 25, sweep 100, scan 200)"),
+    ("warmup", int, 20000, None),
+    ("measure", int, 30000, None),
+    ("loads", _floats, [40.0, 60.0, 80.0, 100.0], "comma-separated loads"),
+    ("max_demands", _ints, [16], "comma-separated maximum widths"),
+    ("scan_target", float, 0.99, None),
+    ("scan_max_arrivals", int, 500000, None),
+)
+DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 
 # sampling interval in arrivals when neither flag nor config file sets one
 SAMPLE_EVERY = {"transient": 25, "sweep": 100, "scan": 200}
@@ -54,38 +67,52 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse(key: str, value, source: str):
+    """A value from outside the command line, read as its flag would read
+    it: a list is joined with commas first."""
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    parser = next(parser for k, parser, _, _ in OPTIONS if k == key)
+    try:
+        return parser(text)
+    except ValueError:
+        raise ConfigError(f"{source}: invalid {key} value {value!r}") from None
+
+
 def _resolve_config(args) -> dict:
-    """Merge defaults, FRAGSIM_SEED, config file and flags (low to high)."""
+    """Merge defaults, FRAGSIM_SEED, config file and flags (low to high).
+
+    A null config-file value leaves the key unset."""
     cfg = dict(DEFAULTS)
     if "FRAGSIM_SEED" in os.environ:
-        cfg["seed"] = int(os.environ["FRAGSIM_SEED"])
-    explicit = set()
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
+        cfg["seed"] = _parse("seed", os.environ["FRAGSIM_SEED"], "FRAGSIM_SEED")
+    explicit = {}
+    if args.config:
+        with open(args.config) as fh:
+            try:
                 file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad config file: {exc}") from exc
-        unknown = set(file_cfg) - set(DEFAULTS) - {"topology", "out"}
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"bad config file: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-        explicit |= set(file_cfg)
-    for key in list(DEFAULTS) + ["topology", "out"]:
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-            explicit.add(key)
-    # an explicit (lambda, holding) pair replaces the default load
-    if "load" not in explicit and cfg.get("lambda") and cfg.get("holding"):
-        cfg["load"] = None
-    if not cfg.get("topology"):
+        explicit = {k: _parse(k, v, "config file") for k, v in file_cfg.items()
+                    if v is not None}
+    explicit.update((k, getattr(args, k)) for k in DEFAULTS
+                    if getattr(args, k) is not None)
+    cfg.update(explicit)
+    # an explicit (lambda, holding) pair replaces the default load and loads
+    if cfg["lambda"] is not None and cfg["holding"] is not None:
+        for key in ("load", "loads"):
+            cfg[key] = explicit.get(key)
+    if not cfg["topology"]:
         raise ConfigError("a topology file is required")
     return cfg
 
 
 def _build_paths(cfg, topo):
-    paths = build_beta_paths(topo, cfg.get("path_count"))
+    paths = build_beta_paths(topo, cfg["path_count"])
     if paths.warning:
         print(f"warning: requested {cfg['path_count']} paths, "
               f"achieved {len(paths.paths)}", file=sys.stderr)
@@ -94,7 +121,7 @@ def _build_paths(cfg, topo):
 
 def _load_inputs(cfg):
     topo = load_topology(cfg["topology"])
-    if cfg.get("paths"):
+    if cfg["paths"]:
         return topo, load_beta_paths(cfg["paths"], topo)
     return topo, _build_paths(cfg, topo)
 
@@ -106,19 +133,17 @@ def _experiment(args):
     cfg = _resolve_config(args)
     if cfg["sample_every"] is None:
         cfg["sample_every"] = SAMPLE_EVERY[args.command]
-    if int(cfg["sample_every"]) < 1:
+    if cfg["sample_every"] < 1:
         raise ConfigError(f"sample_every must be >= 1, got {cfg['sample_every']}")
     topo, paths = _load_inputs(cfg)
-    out = cfg.get("out") or "."
+    out = cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return cfg, topo, paths, out
 
 
 def _profile(cfg) -> DemandProfile:
-    return DemandProfile.resolve(int(cfg["max_demand"]), int(cfg["seed"]),
-                                 arrival_rate=cfg.get("lambda"),
-                                 mean_holding=cfg.get("holding"),
-                                 load=cfg.get("load"))
+    return DemandProfile.resolve(cfg["max_demand"], cfg["seed"], cfg["lambda"],
+                                 cfg["holding"], cfg["load"])
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -135,17 +160,16 @@ def _write_samples(path, samples) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_metadata(cfg, out_dir, extra=None):
+def _write_metadata(cfg, out_dir, extra):
     with open(cfg["topology"], "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     meta = {
-        "config": {k: cfg.get(k) for k in sorted(cfg)},
+        "config": cfg,
         "topology_sha256": digest,
         "rng": RNG_NAME,
         "version": __version__,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     _atomic_write(os.path.join(out_dir, "metadata.json"),
                   json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -154,11 +178,7 @@ def cmd_snapshot(args) -> int:
     cfg = _resolve_config(args)
     topo, paths = _load_inputs(cfg)
     with open(args.state) as fh:
-        text = fh.read()
-    try:
-        state = SpectrumState.parse(text, topo.link_count, topo.slice_count)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        state = SpectrumState.parse(fh.read(), topo.link_count, topo.slice_count)
     bounds = compute_bounds(topo, paths)
     rep = snapshot_report(state, paths, bounds)
     for name in METRICS:
@@ -172,8 +192,8 @@ def cmd_dump_state(args) -> int:
     cfg = _resolve_config(args)
     topo, paths = _load_inputs(cfg)
     sim = Simulation(topo, _profile(cfg), paths)
-    if int(cfg["arrivals"]) > 0:
-        sim.run(int(cfg["arrivals"]), sample_every=int(cfg["arrivals"]) + 1)
+    if cfg["arrivals"] > 0:
+        sim.run(cfg["arrivals"], sample_every=cfg["arrivals"] + 1)
     sys.stdout.write(sim.state.dump())
     return 0
 
@@ -182,8 +202,8 @@ def cmd_make_paths(args) -> int:
     cfg = _resolve_config(args)
     paths = _build_paths(cfg, load_topology(cfg["topology"]))
     text = json.dumps({"paths": paths.node_paths}, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
+    if cfg["out"]:
+        _atomic_write(cfg["out"], text)
     else:
         sys.stdout.write(text)
     return 0
@@ -191,8 +211,8 @@ def cmd_make_paths(args) -> int:
 
 def cmd_transient(args) -> int:
     cfg, topo, paths, out = _experiment(args)
-    res = run_transient(topo, _profile(cfg), paths, int(cfg["arrivals"]),
-                        int(cfg["sample_every"]), int(cfg["replications"]))
+    res = run_transient(topo, _profile(cfg), paths, cfg["arrivals"],
+                        cfg["sample_every"], cfg["replications"])
     for r, samples in enumerate(res.replication_samples):
         _write_samples(os.path.join(out, f"transient_rep{r}.csv"), samples)
     lines = ["arrivals,metric,mean,ci99"]
@@ -208,29 +228,28 @@ def cmd_transient(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, topo, paths, out = _experiment(args)
-    grid = make_grid([float(x) for x in cfg["loads"]],
-                     [int(x) for x in cfg["max_demands"]],
-                     arrival_rate=cfg.get("lambda"), mean_holding=cfg.get("holding"))
-    res = run_steady_sweep(topo, grid, paths, int(cfg["warmup"]),
-                           int(cfg["measure"]), int(cfg["replications"]),
-                           int(cfg["seed"]), int(cfg["sample_every"]))
+    grid = make_grid(cfg["loads"], cfg["max_demands"], cfg["seed"],
+                     cfg["lambda"], cfg["holding"])
+    cells = run_steady_sweep(topo, grid, paths, cfg["warmup"], cfg["measure"],
+                             cfg["replications"], cfg["sample_every"])
     lines = ["load,max_demand,lambda,holding,metric,mean,ci99"]
-    for cell in res.cells:
-        p = cell.point
+    for cell in cells:
+        p = cell.profile
         for name, (m, hw) in cell.stats.items():
-            lines.append(f"{p.load:g},{p.max_demand},{p.arrival_rate:g},"
+            lines.append(f"{p.load:g},{p.max_demand},{p.arrival_rate_per_node:g},"
                          f"{p.mean_holding:g},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
-    _write_metadata(cfg, out, {"experiment": "sweep"})
+    _write_metadata(cfg, out, {"experiment": "sweep",
+                               "clamp_events": sum(c.clamp_events for c in cells)})
     return 0
 
 
 def cmd_scan(args) -> int:
     cfg, topo, paths, out = _experiment(args)
     res = run_utilization_scan(topo, _profile(cfg), paths,
-                               target=float(cfg["scan_target"]),
-                               sample_every=int(cfg["sample_every"]),
-                               max_arrivals=int(cfg["scan_max_arrivals"]))
+                               target=cfg["scan_target"],
+                               sample_every=cfg["sample_every"],
+                               max_arrivals=cfg["scan_max_arrivals"])
     if not res.reached_target:
         print(f"warning: reached utilization {res.max_utilization:.4f} "
               f"< target {cfg['scan_target']}", file=sys.stderr)
@@ -239,31 +258,9 @@ def cmd_scan(args) -> int:
                                "escalate_every": ESCALATE_EVERY,
                                "escalate_factor": ESCALATE_FACTOR,
                                "reached_target": res.reached_target,
+                               "clamp_events": res.clamp_events,
                                "max_utilization": res.max_utilization})
     return 0
-
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--topology", help="topology JSON file")
-    p.add_argument("--paths", help="beta-path JSON file (overrides the heuristic)")
-    p.add_argument("--path-count", dest="path_count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory (or file for make-paths)")
-    p.add_argument("--replications", type=int)
-    p.add_argument("--load", type=float, help="Erlangs per node")
-    p.add_argument("--lambda", dest="lambda", type=float, help="arrival rate per node")
-    p.add_argument("--holding", type=float, help="mean holding time")
-    p.add_argument("--max-demand", dest="max_demand", type=int)
-    p.add_argument("--arrivals", type=int)
-    p.add_argument("--sample-every", dest="sample_every", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--measure", type=int)
-    p.add_argument("--loads", type=lambda s: [float(x) for x in s.split(",")])
-    p.add_argument("--max-demands", dest="max_demands",
-                   type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--scan-target", dest="scan_target", type=float)
-    p.add_argument("--scan-max-arrivals", dest="scan_max_arrivals", type=int)
 
 
 def build_parser():
@@ -281,7 +278,10 @@ def build_parser():
         p = sub.add_parser(name, help=help_)
         if fn is cmd_snapshot:
             p.add_argument("state", help="state dump file")
-        _add_common(p)
+        p.add_argument("--config", help="JSON config file")
+        for key, parser, _, help_ in OPTIONS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parser,
+                           help=help_)
         p.set_defaults(func=fn)
     return ap
 
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TopologyError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, TopologyError and bad values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -20,23 +20,26 @@ from .topology import BetaPathSet, Topology, all_pairs_routes
 from .traffic import (ARRIVAL, DEPARTURE, Demand, DemandGenerator,
                       DemandProfile, EventQueue)
 
-# two-sided 99% Student-t critical values by degrees of freedom
-_T99 = {1: 63.657, 2: 9.925, 3: 5.841, 4: 4.604, 5: 4.032, 6: 3.707, 7: 3.499,
-        8: 3.355, 9: 3.250, 10: 3.169, 11: 3.106, 12: 3.055, 13: 3.012,
-        14: 2.977, 15: 2.947, 16: 2.921, 17: 2.898, 18: 2.878, 19: 2.861,
-        20: 2.845, 25: 2.787, 30: 2.750}
+# two-sided 99% Student-t critical values for df 1..20
+_T99 = (63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
+        3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845)
+_Z995 = 2.5758293035489  # the standard normal 0.995 quantile
 
 
 def t99(df: int) -> float:
+    """Two-sided 99% Student-t critical value: the table up to df 20, above
+    it the Cornish-Fisher expansion of the quantile in 1/df to four terms
+    (within 3e-6 of the exact value for df > 20)."""
     if df <= 0:
         return 0.0
-    if df in _T99:
-        return _T99[df]
-    keys = sorted(_T99)
-    for k in keys:
-        if df < k:
-            return _T99[k]
-    return 2.576
+    if df <= len(_T99):
+        return _T99[df - 1]
+    z, z2 = _Z995, _Z995 * _Z995
+    g = ((z2 + 1) * z / 4,
+         ((5 * z2 + 16) * z2 + 3) * z / 96,
+         (((3 * z2 + 19) * z2 + 17) * z2 - 15) * z / 384,
+         ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) * z / 92160)
+    return z + sum(gk / df ** k for k, gk in enumerate(g, 1))
 
 
 def mean_ci99(values: list[float]) -> tuple[float, float]:
@@ -157,17 +160,23 @@ class Simulation:
 
 
 def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProfile],
-               replications: int, drive) -> list[list]:
+               replications: int, drive) -> list[tuple[list, int]]:
     """drive(sim) on one fresh Simulation per (profile, replication index),
-    as result[profile][replication].
+    as (results over replications, their summed clamp events) per profile.
 
     The bounds are computed once and shared. Each replication index keys its
     own Philox stream, so every run is independent of the others."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     bounds = compute_bounds(topology, paths)
-    return [[drive(Simulation(topology, p, paths, replication=r, bounds=bounds))
-             for r in range(replications)] for p in profiles]
+    out = []
+    for p in profiles:
+        # built one at a time, so each is freed once its run is done
+        sims = (Simulation(topology, p, paths, replication=r, bounds=bounds)
+                for r in range(replications))
+        runs = [(drive(sim), sim.clamp_events) for sim in sims]
+        out.append(([res for res, _ in runs], sum(c for _, c in runs)))
+    return out
 
 
 def _values(s: Sample) -> list[float]:
@@ -187,60 +196,42 @@ class TransientResult:
     # metric -> list over sample points of (mean, ci99 half-width)
     series: dict[str, list[tuple[float, float]]]
     replication_samples: list[list[Sample]]
-    clamp_events: int = 0
+    clamp_events: int
 
 
 def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
                   arrivals: int, sample_every: int, replications: int) -> TransientResult:
     """Evolution from an empty network until `arrivals` requests, averaged
     across replications at fixed arrival counts."""
-    [runs] = _replicate(topology, paths, [profile], replications,
-                        lambda sim: (sim.run(arrivals, sample_every), sim.clamp_events))
-    samples = [s for s, _ in runs]
+    [(samples, clamps)] = _replicate(topology, paths, [profile], replications,
+                                     lambda sim: sim.run(arrivals, sample_every))
     points = [s.arrivals for s in samples[0]]
     stats = [_summarise([_values(rep[i]) for rep in samples]) for i in range(len(points))]
     series = {name: [st[name] for st in stats] for name in SUMMARY_METRICS}
-    return TransientResult(points, series, samples, sum(c for _, c in runs))
-
-
-@dataclass
-class SweepPoint:
-    load: float
-    max_demand: int
-    arrival_rate: float
-    mean_holding: float
+    return TransientResult(points, series, samples, clamps)
 
 
 @dataclass
 class SweepCell:
-    point: SweepPoint
+    profile: DemandProfile
     # metric -> (mean, ci99 half-width) of the steady-state window average
     stats: dict[str, tuple[float, float]]
+    clamp_events: int
 
 
-@dataclass
-class SweepResult:
-    cells: list[SweepCell]
-
-
-def make_grid(loads: list[float], max_demands: list[int],
+def make_grid(loads: list[float] | None, max_demands: list[int], seed: int,
               arrival_rate: float | None = None,
-              mean_holding: float | None = None) -> list[SweepPoint]:
-    pts = []
-    for load in loads:
-        for md in max_demands:
-            if arrival_rate is not None:
-                pts.append(SweepPoint(load, md, arrival_rate, load / arrival_rate))
-            elif mean_holding is not None:
-                pts.append(SweepPoint(load, md, load / mean_holding, mean_holding))
-            else:
-                pts.append(SweepPoint(load, md, load, 1.0))
-    return pts
+              mean_holding: float | None = None) -> list[DemandProfile]:
+    """One profile per (load, max_demand), in that nesting order, each
+    resolved by DemandProfile.resolve. loads=None takes the one load that
+    the (arrival_rate, mean_holding) pair gives."""
+    return [DemandProfile.resolve(md, seed, arrival_rate, mean_holding, load)
+            for load in loads or [None] for md in max_demands]
 
 
-def run_steady_sweep(topology: Topology, points: list[SweepPoint], paths: BetaPathSet,
-                     warmup: int, measure: int, replications: int, seed: int,
-                     sample_every: int = 100) -> SweepResult:
+def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
+                     paths: BetaPathSet, warmup: int, measure: int, replications: int,
+                     sample_every: int) -> list[SweepCell]:
     """Steady-state metric averages per grid point: discard `warmup` arrivals,
     average samples over the next `measure` arrivals, aggregate over
     replications with a 99% CI. br_tr here is measured within the window."""
@@ -260,10 +251,9 @@ def run_steady_sweep(topology: Topology, points: list[SweepPoint], paths: BetaPa
         means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
         return means
 
-    profiles = [DemandProfile(pt.arrival_rate, pt.mean_holding, pt.max_demand, seed)
-                for pt in points]
-    rows = _replicate(topology, paths, profiles, replications, window_means)
-    return SweepResult([SweepCell(pt, _summarise(r)) for pt, r in zip(points, rows)])
+    cells = _replicate(topology, paths, profiles, replications, window_means)
+    return [SweepCell(p, _summarise(rows), clamps)
+            for p, (rows, clamps) in zip(profiles, cells)]
 
 
 # escalation of the offered load in run_utilization_scan
@@ -276,13 +266,13 @@ class ScanResult:
     samples: list[Sample]
     reached_target: bool
     max_utilization: float
+    clamp_events: int
 
 
 def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
-                         target: float = 0.99, sample_every: int = 200,
+                         target: float, sample_every: int, max_arrivals: int,
                          escalate_every: int = ESCALATE_EVERY,
-                         escalate_factor: float = ESCALATE_FACTOR,
-                         max_arrivals: int = 500_000) -> ScanResult:
+                         escalate_factor: float = ESCALATE_FACTOR) -> ScanResult:
     """Drive the network from empty toward full occupancy, sampling metrics
     across the whole utilization range.
 
@@ -290,7 +280,7 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
     through churn; once arrivals vastly outpace departures the spectrum
     fills toward 1.0. If the target utilization is not reached within the
     arrival budget the result carries a warning flag."""
-    def scan(sim: Simulation) -> ScanResult:
+    def scan(sim: Simulation) -> tuple[list[Sample], bool, float]:
         sim.take_sample()  # the empty-network point
         max_util = 0.0
         for n in range(1, max_arrivals + 1):
@@ -304,8 +294,8 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
             if n % sample_every == 0 or util >= target:
                 sim.take_sample()
                 if util >= target:
-                    return ScanResult(sim.samples, True, max_util)
-        return ScanResult(sim.samples, False, max_util)
+                    return sim.samples, True, max_util
+        return sim.samples, False, max_util
 
-    [[result]] = _replicate(topology, paths, [profile], 1, scan)
-    return result
+    [([result], clamps)] = _replicate(topology, paths, [profile], 1, scan)
+    return ScanResult(*result, clamps)

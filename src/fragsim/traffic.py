@@ -44,22 +44,23 @@ class DemandProfile:
     @classmethod
     def resolve(cls, max_demand: int, seed: int, arrival_rate: float | None = None,
                 mean_holding: float | None = None, load: float | None = None) -> "DemandProfile":
-        """Build a profile from any two of {arrival_rate, mean_holding, load}."""
-        given = [x is not None for x in (arrival_rate, mean_holding, load)]
-        if sum(given) < 2:
-            if load is not None:
-                arrival_rate, mean_holding = load, 1.0  # shipped convention
-            else:
+        """Build a profile from any two of {arrival_rate, mean_holding, load},
+        which must agree when all three are given, or from a load alone with
+        mean holding time 1. This is the one place that relates the three."""
+        if any(x is not None and x <= 0 for x in (arrival_rate, mean_holding, load)):
+            raise ValueError("rates, holding times and loads must be positive")
+        if load is None:
+            if arrival_rate is None or mean_holding is None:
                 raise ValueError("need two of arrival_rate, mean_holding, load")
-        elif sum(given) == 3:
-            if abs(arrival_rate * mean_holding - load) > 1e-9 * max(1.0, load):
-                raise ValueError("arrival_rate * mean_holding != load")
-        elif load is None:
-            pass
         elif arrival_rate is None:
+            if mean_holding is None:
+                mean_holding = 1.0  # shipped convention
             arrival_rate = load / mean_holding
-        else:
+        elif mean_holding is None:
             mean_holding = load / arrival_rate
+        elif abs(arrival_rate * mean_holding - load) > 1e-9 * max(1.0, load):
+            raise ValueError(f"arrival_rate * mean_holding ({arrival_rate:g} * "
+                             f"{mean_holding:g}) != load ({load:g})")
         return cls(arrival_rate, mean_holding, max_demand, seed)
 
 

@@ -42,11 +42,11 @@ def nsfnet():
 
 def sweep_stat(t, paths, loads, mds, metric, seed, reps=6, warm=4000,
                meas=4000, lam=None, holding=None):
-    grid = make_grid(loads, mds, arrival_rate=lam, mean_holding=holding)
-    res = run_steady_sweep(t, grid, paths, warmup=warm, measure=meas,
-                           replications=reps, seed=seed)
-    return {(c.point.load, c.point.max_demand): c.stats[metric]
-            for c in res.cells}
+    grid = make_grid(loads, mds, seed, arrival_rate=lam, mean_holding=holding)
+    cells = run_steady_sweep(t, grid, paths, warmup=warm, measure=meas,
+                             replications=reps, sample_every=100)
+    return {(c.profile.load, c.profile.max_demand): c.stats[metric]
+            for c in cells}
 
 
 def test_01_worked_example():
@@ -210,10 +210,10 @@ def test_07_load_equivalence(net_a):
 
 
 def ratio_curve(t, paths, loads, seed, reps=6, warm=3000, meas=3000):
-    grid = make_grid(loads, [16])
-    res = run_steady_sweep(t, grid, paths, warmup=warm, measure=meas,
-                           replications=reps, seed=seed)
-    return [c.stats["a_alpha"][0] / c.stats["a_beta"][0] for c in res.cells]
+    grid = make_grid(loads, [16], seed)
+    cells = run_steady_sweep(t, grid, paths, warmup=warm, measure=meas,
+                             replications=reps, sample_every=100)
+    return [c.stats["a_alpha"][0] / c.stats["a_beta"][0] for c in cells]
 
 
 def test_08_crossover(net_a, nsfnet):
@@ -239,7 +239,7 @@ def test_08_crossover(net_a, nsfnet):
 def test_09_high_utilization_divergence(net_a):
     t, paths = net_a
     prof = DemandProfile.resolve(16, 5, load=20.0)
-    res = run_utilization_scan(t, prof, paths, target=0.99,
+    res = run_utilization_scan(t, prof, paths, target=0.99, sample_every=200,
                                max_arrivals=500_000)
     assert res.reached_target
     mid = min(res.samples, key=lambda s: abs(s.report.utilization - 0.5))

@@ -85,6 +85,74 @@ class TestConfig:
                               "--arrivals", "60", "--seed", "11")
         assert base == again
 
+    @pytest.mark.parametrize("content,named", [
+        ('{"replications": 2.5}', "replications"),
+        ('{"lambda": "x"}', "lambda"),
+        ('{"seed": true}', "seed"),
+        ('{"max_demands": [8.5]}', "max_demands"),
+        ("5", "JSON object"),
+        ("[1, 2]", "JSON object"),
+    ])
+    def test_bad_file_value_exits_2(self, capsys, tmp_path, content, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                               "--topology", data_file("fig_example.json"),
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_file_values_read_like_flags(self, capsys, tmp_path):
+        # every option, once in a config file and once as flags
+        paths = tmp_path / "paths.json"
+        assert run_cli(capsys, "make-paths", "--topology", data_file("fig_example.json"),
+                       "--out", str(paths))[0] == 0
+        out = tmp_path / "exp"
+        values = {"topology": data_file("fig_example.json"), "paths": str(paths),
+                  "path_count": 2, "seed": 7, "out": str(out), "replications": 2,
+                  "load": 6, "lambda": 2, "holding": 3, "max_demand": 2,
+                  "arrivals": 100, "sample_every": 20, "warmup": 50, "measure": 100,
+                  "loads": [6], "max_demands": [2, 3], "scan_target": 0.9,
+                  "scan_max_arrivals": 1000}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        meta_file = (out / "metadata.json").read_text()
+        csv_file = (out / "sweep.csv").read_text()
+        flags = []
+        for key, v in values.items():
+            text = ",".join(map(str, v)) if isinstance(v, list) else str(v)
+            flags += ["--" + key.replace("_", "-"), text]
+        assert run_cli(capsys, "sweep", *flags)[0] == 0
+        # compared as text, so that 6 and 6.0 differ
+        config = json.dumps(json.loads(meta_file)["config"])
+        assert config == json.dumps(json.loads((out / "metadata.json").read_text())["config"])
+        assert '"loads": [6.0]' in config and '"lambda": 2.0' in config
+        assert (out / "sweep.csv").read_text() == csv_file
+
+    def test_null_means_unset_and_scalar_is_one_item_list(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None, "loads": 5, "holding": None}))
+        args = ["--topology", data_file("fig_example.json"), "--max-demands", "2",
+                "--warmup", "0", "--measure", "100", "--replications", "2"]
+        assert run_cli(capsys, "sweep", "--config", str(cfg), *args,
+                       "--out", str(tmp_path / "a"))[0] == 0
+        assert run_cli(capsys, "sweep", "--seed", "1", "--loads", "5", *args,
+                       "--out", str(tmp_path / "b"))[0] == 0
+        meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+        assert meta["config"]["seed"] == 1 and meta["config"]["loads"] == [5.0]
+        assert meta["config"]["holding"] is None
+        assert (tmp_path / "a" / "sweep.csv").read_text() == \
+            (tmp_path / "b" / "sweep.csv").read_text()
+
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRAGSIM_SEED", "x")
+        code, _, err = run_cli(capsys, "dump-state", "--topology",
+                               data_file("fig_example.json"), "--arrivals", "0")
+        assert code == 2
+        assert "FRAGSIM_SEED" in err
+
 
 class TestMakePaths:
     def test_cover_round_trips_through_snapshot(self, capsys, tmp_path):
@@ -98,6 +166,14 @@ class TestMakePaths:
         code, _, _ = run_cli(capsys, "dump-state", "--topology", topo,
                              "--paths", str(out), "--arrivals", "0")
         assert code == 0
+
+    def test_out_from_config_file(self, capsys, tmp_path):
+        out = tmp_path / "paths.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"topology": data_file("net_a.json"), "out": str(out)}))
+        code, printed, _ = run_cli(capsys, "make-paths", "--config", str(cfg))
+        assert code == 0 and printed == ""
+        assert len(json.loads(out.read_text())["paths"]) == 2
 
     def test_requested_count_warning(self, capsys, tmp_path):
         topo = write_topology(tmp_path, "pair", 2, [[0, 1]], 8)
@@ -162,6 +238,29 @@ class TestExperiments:
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[2] == "2.5" and row[3] == "2.4"
 
+    def test_sweep_lambda_holding_pair_without_loads(self, capsys, tmp_path):
+        args = ["sweep", "--topology", data_file("fig_example.json"),
+                "--max-demands", "2", "--lambda", "2", "--holding", "5",
+                "--warmup", "100", "--measure", "100", "--replications", "2"]
+        code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path))
+        assert code == 0
+        rows = {tuple(l.split(",")[:4])
+                for l in (tmp_path / "sweep.csv").read_text().splitlines()[1:]}
+        assert rows == {("10", "2", "2", "5")}
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["config"]["lambda"] == 2.0 and meta["config"]["holding"] == 5.0
+        code, _, err = run_cli(capsys, *args, "--loads", "6", "--out", str(tmp_path))
+        assert code == 2
+        assert "load (6)" in err
+
+    @pytest.mark.parametrize("flag", ["--holding", "--lambda", "--load"])
+    def test_zero_rate_holding_or_load_exits_2(self, capsys, tmp_path, flag):
+        code, _, err = run_cli(capsys, "transient",
+                               "--topology", data_file("fig_example.json"),
+                               "--arrivals", "100", flag, "0", "--out", str(tmp_path))
+        assert code == 2
+        assert "positive" in err
+
     def test_scan_reaches_target_on_tiny_net(self, capsys, tmp_path):
         out = tmp_path / "exp"
         code, _, _ = run_cli(capsys, "scan",
@@ -219,6 +318,7 @@ class TestExperiments:
         assert code == 0
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["config"]["sample_every"] == want
+        assert meta["clamp_events"] >= 0
         if command == "scan":
             assert (meta["escalate_every"], meta["escalate_factor"]) == (2000, 1.5)
 
