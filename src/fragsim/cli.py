@@ -267,6 +267,11 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="fragsim",
                                  description="Spectrum fragmentation metrics and "
                                              "dynamic-traffic simulation for EONs")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    for key, parser, _, help_ in OPTIONS:
+        common.add_argument("--" + key.replace("_", "-"), dest=key, type=parser,
+                            help=help_)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn, help_ in [
             ("snapshot", cmd_snapshot, "compute metrics for a state dump"),
@@ -275,13 +280,9 @@ def build_parser():
             ("scan", cmd_scan, "utilization scan to near-full spectrum"),
             ("dump-state", cmd_dump_state, "run a short simulation and print the bitmap state"),
             ("make-paths", cmd_make_paths, "emit the computed beta-path cover")]:
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, parents=[common])
         if fn is cmd_snapshot:
             p.add_argument("state", help="state dump file")
-        p.add_argument("--config", help="JSON config file")
-        for key, parser, _, help_ in OPTIONS:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parser,
-                           help=help_)
         p.set_defaults(func=fn)
     return ap
 

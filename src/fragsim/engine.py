@@ -74,10 +74,11 @@ class Simulation:
 
     def __init__(self, topology: Topology, profile: DemandProfile,
                  paths: BetaPathSet, replication: int = 0,
-                 bounds: MetricBounds | None = None, window: int = 1000):
+                 bounds: MetricBounds | None = None, window: int = 1000,
+                 routes: dict[tuple[int, int], list[int]] | None = None):
         self.paths = paths
         self.bounds = bounds or compute_bounds(topology, paths)
-        self.routes = all_pairs_routes(topology)
+        self.routes = routes or all_pairs_routes(topology)
         self.state = SpectrumState(topology.link_count, topology.slice_count)
         self.gen = DemandGenerator(profile, topology.node_count, replication)
         self.queue = EventQueue()
@@ -164,15 +165,18 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
     """drive(sim) on one fresh Simulation per (profile, replication index),
     as (results over replications, their summed clamp events) per profile.
 
-    The bounds are computed once and shared. Each replication index keys its
-    own Philox stream, so every run is independent of the others."""
+    The bounds and the routes are computed once and shared. Each replication
+    index keys its own Philox stream, so every run is independent of the
+    others."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     bounds = compute_bounds(topology, paths)
+    routes = all_pairs_routes(topology)
     out = []
     for p in profiles:
         # built one at a time, so each is freed once its run is done
-        sims = (Simulation(topology, p, paths, replication=r, bounds=bounds)
+        sims = (Simulation(topology, p, paths, replication=r, bounds=bounds,
+                           routes=routes)
                 for r in range(replications))
         runs = [(drive(sim), sim.clamp_events) for sim in sims]
         out.append(([res for res, _ in runs], sum(c for _, c in runs)))

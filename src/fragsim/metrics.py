@@ -10,10 +10,12 @@ All functions are pure over read-only snapshots. The "no free slice"
 situation is reported as None; snapshot_report maps it to the
 no-fragmentation convention (a fully busy spectrum is not fragmented).
 
-snapshot_report makes one pass over the links: it takes each link's longest
-free run once and feeds those runs to both alpha and lefm, and beta reads
-one free matrix of all links. compute_alpha and compute_lefm wrap the same
-private helpers, so each gives exactly the value snapshot_report reports.
+Alpha and beta both take longest free runs over the same free map, alpha
+along each link's slices and beta along each trail's hops at every slice
+index; `_free_runs` takes both in one numpy pass, and its link runs feed
+both alpha and lefm. compute_alpha, compute_beta and compute_lefm wrap the
+same private helpers, so each gives exactly the value snapshot_report
+reports.
 """
 
 from __future__ import annotations
@@ -66,8 +68,46 @@ def report_csv_row(t: float, arrivals: int, rep: FragmentationReport, br_tr: flo
     return f"{t:.6f},{arrivals}," + ",".join(f"{v:.6f}" for v in vals)
 
 
-def _longest_runs(state: SpectrumState) -> list[int]:
-    return [state.max_contiguous_free(lid) for lid in range(state.link_count)]
+# the trail index of no trail, for the link-only metrics
+_NO_TRAILS = np.zeros((0, 0), dtype=np.intp)
+
+
+def _free_runs(state: SpectrumState, hop_index: np.ndarray):
+    """Each link's longest run of free slices (a list), and per (trail,
+    slice index) the longest run of free hops (CN) and the free hop count
+    (AS) as (trails x slices) arrays.
+
+    One flat 0/1 vector holds a leading 0, every link row, then every
+    (trail, slice index) column of hops, each followed by a 0. The -1 that
+    pads `hop_index` names a busy row after the links, so all columns have
+    one length, and one comparison with the vector shifted by one finds
+    where every run starts and ends."""
+    links, s = state.link_count, state.slice_count
+    trails, width = hop_index.shape
+    split = 1 + (links + 1) * (s + 1)
+    v = np.zeros(split + trails * s * (width + 1), dtype=np.uint8)
+    rows = v[1:split].reshape(links + 1, s + 1)       # the last row stays busy
+    rows[:links, :s] = state.free_matrix()
+    hops = rows[hop_index, :s]                        # (trails, hops, slices)
+    v[split:].reshape(trails, s, width + 1)[:, :, :width] = hops.transpose(0, 2, 1)
+    b = v.view(bool)
+    # counted from v[1], run i covers [edges[2i], edges[2i + 1])
+    edges = np.flatnonzero(b[1:] != b[:-1])
+    seg, lengths = edges[::2], edges[1::2]
+    lengths -= seg
+    # each run's segment, in place of its start: true division truncated on
+    # assignment is exact below 2**52 and, unlike //, pages in no numpy loop
+    # that the simulation does not already use
+    k = np.count_nonzero(seg < split - 1)             # runs on links
+    seg[:k] = seg[:k] / (s + 1)
+    cols = seg[k:]
+    cols -= split - 1
+    cols[:] = cols / (width + 1)
+    cols += links + 1
+    best = np.zeros(links + 1 + trails * s, dtype=np.intp)
+    np.maximum.at(best, seg, lengths)
+    return (best[:links].tolist(), best[links + 1:].reshape(trails, s),
+            hops.sum(axis=1, dtype=np.intp))
 
 
 def _alpha(free: list[int], runs: list[int]) -> float | None:
@@ -88,35 +128,35 @@ def _lefm(total_free: int, runs: list[int]) -> float | None:
     return 1.0 - sum(runs) / total_free
 
 
+def _beta(cn: np.ndarray, avail: np.ndarray) -> float | None:
+    """Mean over trails of the mean CN/AS over slice indices with AS > 0; a
+    trail with no free slice anywhere contributes its no-fragmentation
+    value 1."""
+    mask = avail > 0
+    # trail by trail: each trail's ratios are one contiguous slice, and
+    # np.add.reduce over it sums them in np.mean's order
+    ratios = cn[mask] / avail[mask]
+    vals = []
+    at = 0
+    for n in mask.sum(axis=1).tolist():
+        vals.append(float(np.add.reduce(ratios[at:at + n]) / n) if n else 1.0)
+        at += n
+    if not at:
+        return None
+    return sum(vals) / len(vals)
+
+
 def compute_alpha(state: SpectrumState) -> float | None:
     """Contiguity component; None when no link has a free slice."""
-    return _alpha(state.free, _longest_runs(state))
+    return _alpha(state.free, _free_runs(state, _NO_TRAILS)[0])
 
 
 def compute_beta(state: SpectrumState, paths: BetaPathSet) -> float | None:
     """Continuity component over the trail cover; None when nothing is free
     on any trail. A trail with no free slice anywhere contributes its
     no-fragmentation value 1."""
-    free = state.free_matrix().astype(np.int32)
-    vals = []
-    any_free = False
-    for hops in paths.paths:
-        mat = free[hops]
-        avail = mat.sum(axis=0)               # AS per slice index
-        run = np.zeros(mat.shape[1], dtype=np.int32)
-        best = np.zeros(mat.shape[1], dtype=np.int32)
-        for row in mat:                       # CN per slice index
-            run = (run + row) * row
-            np.maximum(best, run, out=best)
-        mask = avail > 0
-        if mask.any():
-            any_free = True
-            vals.append(float(np.mean(best[mask] / avail[mask])))
-        else:
-            vals.append(1.0)
-    if not any_free:
-        return None
-    return sum(vals) / len(vals)
+    _, cn, avail = _free_runs(state, paths.hop_index)
+    return _beta(cn, avail)
 
 
 def beta_path_bound(hops: int) -> float:
@@ -175,7 +215,7 @@ def adapted_components(alpha: float, beta: float, bounds: MetricBounds) -> tuple
 def compute_lefm(state: SpectrumState) -> float | None:
     """Link-based external fragmentation: 1 - (sum of longest free runs over
     all links) / (total free slices network-wide)."""
-    return _lefm(sum(state.free), _longest_runs(state))
+    return _lefm(sum(state.free), _free_runs(state, _NO_TRAILS)[0])
 
 
 def snapshot_report(state: SpectrumState, paths: BetaPathSet,
@@ -186,9 +226,9 @@ def snapshot_report(state: SpectrumState, paths: BetaPathSet,
     a fully busy spectrum reports avfm = 0."""
     util = state.utilization()
     el = sum(1 for ss in state.free if ss > 0)
-    runs = _longest_runs(state)
+    runs, cn, avail = _free_runs(state, paths.hop_index)
     alpha = _alpha(state.free, runs)
-    beta = compute_beta(state, paths)
+    beta = _beta(cn, avail)
     lefm = _lefm(sum(state.free), runs)
     if alpha is None and beta is None:
         return FragmentationReport(1.0, 1.0, bounds.vfm_max, 1.0, 0.0, 0.0, 0.0,

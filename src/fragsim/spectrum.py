@@ -4,10 +4,12 @@ Each link's spectrum is one Python integer used as a bitmask (bit j set =
 slice j busy). Word-parallel scans below are bit-exact with a naive per-bit
 loop; the test suite checks that against an independent oracle.
 
-A metrics snapshot reads each link once: `max_contiguous_free` gives its
-longest free run in O(log run) big-int operations, and `free_matrix` gives
-every link's free map as one (links x slices) array for the per-slice
-continuity component.
+A metrics snapshot reads every link once, through `free_matrix`: one
+(links x slices) 0/1 array, from which the metrics take every run length
+along both axes in one numpy pass. `max_contiguous_free` (the longest free
+run of one link in O(log run) big-int operations) and `free_bits` (one
+link's free map) are not on that path; they are the per-link answers the
+tests check it against, and the benchmark's per-layer trace names them.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class TopologyError(ValueError):
     """Raised when a topology or path file fails validation."""
@@ -97,11 +99,12 @@ class Topology:
 
 
 def load_topology(path: str) -> Topology:
-    """Load and validate a topology JSON file."""
+    """Load and validate a topology JSON file; a file that cannot be read
+    raises OSError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise TopologyError(f"cannot parse topology file {path}: {exc}") from exc
     try:
         name = doc.get("name", path)
@@ -162,10 +165,15 @@ class BetaPathSet:
     paths: list[list[int]]        # directed link ids per trail
     node_paths: list[list[int]]   # node sequence per trail
     hop_counts: list[int] = field(init=False)
+    # (trails x longest trail) link ids, each trail padded with -1 (a busy row)
+    hop_index: np.ndarray = field(init=False, repr=False, compare=False)
     warning: bool = False         # requested path count could not be met
 
     def __post_init__(self):
         self.hop_counts = [len(p) for p in self.paths]
+        width = max(self.hop_counts, default=0)
+        self.hop_index = np.array([p + [-1] * (width - len(p)) for p in self.paths],
+                                  dtype=np.intp).reshape(len(self.paths), width)
 
 
 def _euler_trail(adj: dict[int, list[tuple[int, int]]], start: int,
@@ -319,12 +327,13 @@ def _fibers_to_links(t: Topology, node_seq: list[int], fiber_seq: list[int]) -> 
 
 
 def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
-    """Load a user-supplied path file (node sequences) and validate trails."""
+    """Load a user-supplied path file (node sequences) and validate trails;
+    a file that cannot be read raises OSError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         node_paths = [[int(n) for n in p] for p in doc["paths"]]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"cannot parse path file {path}: {exc}") from exc
 
     fiber_of = {}

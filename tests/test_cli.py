@@ -41,6 +41,31 @@ class TestSnapshot:
         assert code == 2
         assert "topology" in err
 
+    def test_unreadable_topology_file_exits_3(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        code, _, err = run_cli(capsys, "dump-state", "--topology", absent,
+                               "--arrivals", "0")
+        assert code == 3
+        assert "i/o error" in err and "absent.json" in err
+
+    def test_unreadable_paths_file_exits_3(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        code, _, err = run_cli(capsys, "dump-state", "--topology",
+                               data_file("fig_example.json"), "--paths", absent,
+                               "--arrivals", "0")
+        assert code == 3
+        assert "i/o error" in err and "absent.json" in err
+
+    @pytest.mark.parametrize("flag", ["--topology", "--paths"])
+    def test_malformed_input_file_exits_2(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = ["dump-state", "--topology", data_file("fig_example.json"),
+                "--arrivals", "0", flag, str(bad)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "cannot parse" in err
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, capsys, tmp_path):

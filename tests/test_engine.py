@@ -7,7 +7,8 @@ from conftest import data_file
 from fragsim.engine import (Simulation, make_grid, mean_ci99, run_steady_sweep,
                             run_transient, run_utilization_scan, t99)
 from fragsim.spectrum import SliceRange, SpectrumFault
-from fragsim.topology import Topology, build_beta_paths, load_topology
+from fragsim.topology import (Topology, all_pairs_routes, build_beta_paths,
+                              load_topology)
 from fragsim.traffic import ARRIVAL, Demand, DemandGenerator, DemandProfile
 from reference import RefSim, ref_alpha, ref_beta, ref_lefm
 
@@ -247,3 +248,20 @@ class TestRunners:
         scan = run_utilization_scan(t, profile, paths, target=0.99, sample_every=1,
                                     max_arrivals=4000)
         assert scan.clamp_events == sum(s.report.clamped for s in scan.samples) > 0
+
+    def test_replications_share_one_route_table(self, chain4, monkeypatch):
+        import fragsim.engine as engine
+        calls = []
+
+        def counting_routes(t):
+            calls.append(t)
+            return all_pairs_routes(t)
+
+        monkeypatch.setattr(engine, "all_pairs_routes", counting_routes)
+        paths = build_beta_paths(chain4)
+        grid = make_grid([5.0, 10.0], [2], seed=4)
+        tables = engine._replicate(chain4, paths, grid, 3, lambda sim: sim.routes)
+        seen = [table for results, _ in tables for table in results]
+        assert len(calls) == 1 and len(seen) == 6
+        assert all(table is seen[0] for table in seen)
+        assert seen[0] == all_pairs_routes(chain4)

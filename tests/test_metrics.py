@@ -6,13 +6,13 @@ import pytest
 
 from conftest import data_file
 from fragsim.engine import Simulation
-from fragsim.metrics import (MetricBounds, adapted_components, beta_path_bound,
-                             compute_alpha, compute_beta, compute_bounds,
-                             compute_lefm, compute_vfm, normalize, raw_nvfm,
-                             snapshot_report)
+from fragsim.metrics import (_NO_TRAILS, MetricBounds, _free_runs,
+                             adapted_components, beta_path_bound, compute_alpha,
+                             compute_beta, compute_bounds, compute_lefm,
+                             compute_vfm, normalize, raw_nvfm, snapshot_report)
 from fragsim.spectrum import SpectrumState
 from fragsim.topology import (BetaPathSet, Topology, build_beta_paths,
-                              load_topology)
+                              load_beta_paths, load_topology)
 from fragsim.traffic import DemandProfile
 from reference import ref_alpha, ref_beta, ref_lefm
 
@@ -410,3 +410,77 @@ class TestSnapshotReport:
         for _ in range(20):
             sim.run(40, sample_every=41)
             self.assert_matches_components(sim.state, ps, b)
+
+
+class TestFreeRuns:
+    """The one-pass run-length kernel against per-link and per-slice loops."""
+
+    @staticmethod
+    def longest(flags):
+        best = run = 0
+        for f in flags:
+            run = run + 1 if f else 0
+            best = max(best, run)
+        return best
+
+    @staticmethod
+    def states(t, rnd):
+        s, n = t.slice_count, t.link_count
+        full = (1 << s) - 1
+        # chequered with the parity alternating fiber to fiber
+        masks = {"empty": [0] * n, "full": [full] * n,
+                 "chequered": [sum(1 << j for j in range(lid // 2 % 2, s, 2))
+                               for lid in range(n)]}
+        for k in range(6):
+            p = rnd.random()
+            masks[f"random{k}"] = [sum(1 << j for j in range(s) if rnd.random() < p)
+                                   for _ in range(n)]
+        # each link one busy run at a random place: long free runs at both ends
+        masks["one_block"] = [((1 << w) - 1) << rnd.randrange(s - w + 1)
+                              for w in (rnd.randint(1, s) for _ in range(n))]
+        for occ in masks.values():
+            st = SpectrumState(n, s)
+            st.occ = list(occ)
+            st.free = [s - bin(o).count("1") for o in occ]
+            yield st
+
+    def check(self, st, ps):
+        runs, cn, avail = _free_runs(st, ps.hop_index)
+        assert runs == [st.max_contiguous_free(lid) for lid in range(st.link_count)]
+        s = st.slice_count
+        assert cn.shape == avail.shape == (len(ps.paths), s)
+        for ti, hops in enumerate(ps.paths):
+            for j in range(s):
+                column = [not (st.occ[lid] >> j) & 1 for lid in hops]
+                assert cn[ti, j] == self.longest(column), (ti, j)
+                assert avail[ti, j] == sum(column), (ti, j)
+        no_trails, cn0, avail0 = _free_runs(st, _NO_TRAILS)
+        assert no_trails == runs and cn0.shape == avail0.shape == (0, s)
+
+    @pytest.mark.parametrize("slices", [1, 7, 8, 9, 64, 320])
+    def test_matches_loops_on_uneven_covers(self, slices):
+        rnd = random.Random(slices)
+        net_a = load_topology(data_file("net_a.json"))
+        t = Topology.from_fibers("net_a", net_a.node_count,
+                                 [net_a.fiber(k) for k in range(net_a.fiber_count)],
+                                 slices)
+        shipped = load_beta_paths(data_file("net_a_paths.json"), t)
+        assert sorted(shipped.hop_counts) == [1, 11]
+        covers = [shipped] + [build_beta_paths(t, k) for k in (None, 1, 4)]
+        assert len({tuple(sorted(ps.hop_counts)) for ps in covers}) > 2
+        for ps in covers:
+            for st in self.states(t, rnd):
+                self.check(st, ps)
+
+    def test_hop_index_pads_with_the_busy_row(self):
+        ps = BetaPathSet([[4, 2, 0], [1], [3, 5]], [[0] * 4, [0] * 2, [0] * 3])
+        assert ps.hop_index.tolist() == [[4, 2, 0], [1, -1, -1], [3, 5, -1]]
+        assert BetaPathSet([], []).hop_index.shape == (0, 0)
+
+    def test_simulated_german_states(self):
+        t = load_topology(data_file("german.json"))
+        ps = build_beta_paths(t)
+        sim = Simulation(t, DemandProfile.resolve(16, 5, load=80.0), ps)
+        for _ in range(4):
+            sim.run(150, sample_every=151)
+            self.check(sim.state, ps)
