@@ -108,6 +108,8 @@ def _resolve_config(args) -> dict:
             cfg[key] = explicit.get(key)
     if not cfg["topology"]:
         raise ConfigError("a topology file is required")
+    if cfg["path_count"] is not None and cfg["path_count"] < 1:
+        raise ConfigError(f"path_count must be >= 1, got {cfg['path_count']}")
     return cfg
 
 

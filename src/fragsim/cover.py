@@ -1,0 +1,242 @@
+"""Minimum trail covers of an undirected multigraph, for the beta path set.
+
+A graph with 2k odd-degree nodes needs at least k trails to cover every
+edge once (each odd node ends an odd number of trails), and k suffice;
+with no odd node one closed Euler trail covers it. `min_trail_cover`
+returns a cover of exactly that many trails, balanced in length. Edges are
+fiber ids 0..F-1 with endpoints `fibers[k]`; `adj[u]` lists u's
+(neighbour, fiber id) pairs in sorted order.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+# Up to this many odd-degree nodes every (endpoints, pairing) candidate is
+# tried: 4,725 of them at 10.
+EXHAUSTIVE_ODD = 10
+
+
+def _euler_trail(adj: list[list[tuple[int, int]]], fiber_count: int,
+                 pairing: list[tuple[int, int]], start: int) -> list[int]:
+    """Edge ids, in order, of the Euler trail from `start` (Hierholzer) over
+    the fibers in `adj` plus virtual edge fiber_count + i joining pair i of
+    `pairing`. Each node is in at most one pair, and tries its edges in
+    (neighbour, edge id) order."""
+    adj = adj[:]
+    for i, (a, b) in enumerate(pairing):
+        adj[a] = sorted(adj[a] + [(b, fiber_count + i)])
+        adj[b] = sorted(adj[b] + [(a, fiber_count + i)])
+    used = bytearray(fiber_count + len(pairing))
+    ptr = [0] * len(adj)
+    stack_nodes, stack_edges, out = [start], [], []
+    while stack_nodes:
+        u = stack_nodes[-1]
+        lst = adj[u]
+        i = ptr[u]
+        while i < len(lst) and used[lst[i][1]]:
+            i += 1
+        if i == len(lst):
+            ptr[u] = i
+            stack_nodes.pop()
+            if stack_edges:
+                out.append(stack_edges.pop())
+        else:
+            v, eid = lst[i]
+            ptr[u] = i + 1
+            used[eid] = 1
+            stack_nodes.append(v)
+            stack_edges.append(eid)
+    out.reverse()
+    return out
+
+
+def _score(edges: list[int], fiber_count: int) -> tuple[int, int, int]:
+    """(shortest, -longest, -count) of the trails the virtual edges cut
+    `edges` into; higher is more balanced."""
+    lengths, run = [], 0
+    for eid in edges:
+        if eid < fiber_count:
+            run += 1
+        else:
+            lengths.append(run)
+            run = 0
+    lengths.append(run)
+    return min(lengths), -max(lengths), -len(lengths)
+
+
+def _cut(fibers: list[tuple[int, int]], edges: list[int], pairing: list[tuple[int, int]],
+         start: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(node lists, fiber lists) of the trails the virtual edges cut the
+    Euler trail `edges` from `start` into."""
+    F = len(fibers)
+    ends = fibers + pairing
+    trails_nodes, trails_fibers = [], []
+    u = start
+    cur_n, cur_f = [u], []
+    for eid in edges:
+        a, b = ends[eid]
+        u = b if u == a else a
+        if eid < F:
+            cur_n.append(u)
+            cur_f.append(eid)
+        else:
+            trails_nodes.append(cur_n)
+            trails_fibers.append(cur_f)
+            cur_n, cur_f = [u], []
+    trails_nodes.append(cur_n)
+    trails_fibers.append(cur_f)
+    return trails_nodes, trails_fibers
+
+
+def _pairings(lst):
+    if not lst:
+        yield []
+        return
+    a = lst[0]
+    for i in range(1, len(lst)):
+        for rest in _pairings(lst[1:i] + lst[i + 1:]):
+            yield [(a, lst[i])] + rest
+
+
+def _exhaustive(adj, fiber_count: int, odd: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """(start, pairing) of the first best-scoring candidate, in (endpoint
+    pair, pairing of the other odd nodes) enumeration order.
+
+    Every candidate cuts into exactly k = len(odd) / 2 trails: an odd node
+    ends an odd number of trails, so there are at least k, and k - 1 cuts
+    make at most k. No score can beat (F // k, -ceil(F / k), -k), so the
+    first candidate that reaches it is the first maximum and ends the
+    search."""
+    F, k = fiber_count, len(odd) // 2
+    ideal = (F // k, -F // k, -k)
+    best = None
+    for e1, e2 in itertools.combinations(odd, 2):
+        for pairing in _pairings([u for u in odd if u not in (e1, e2)]):
+            score = _score(_euler_trail(adj, F, pairing, e1), F)
+            if best is None or score > best[0]:
+                best = (score, e1, pairing)
+                if score == ideal:
+                    return e1, pairing
+    return best[1], best[2]
+
+
+def _end_fibers(adj, odd: list[int]) -> dict[int, int]:
+    """The fiber on which each odd node's trail ends.
+
+    A fiber chosen at both its ends would be a one-hop trail, so this is a
+    maximum bipartite matching of odd nodes to incident fibers, grown by
+    breadth-first augmenting paths. A node left unmatched (when no cover
+    avoids a one-hop trail) takes its first fiber."""
+    owner: dict[int, int] = {}
+    for u in odd:
+        parent = {u: None}
+        queue = [u]
+        for x in queue:
+            k = next((k for _, k in adj[x] if k not in owner), None)
+            if k is not None:
+                while True:  # x takes k and hands its own fiber back up the path
+                    owner[k] = x
+                    if parent[x] is None:
+                        break
+                    x, k = parent[x]
+                break
+            for _, k in adj[x]:
+                if owner[k] not in parent:
+                    parent[owner[k]] = (x, k)
+                    queue.append(owner[k])
+    end_fiber = {x: k for k, x in owner.items()}
+    for u in odd:
+        end_fiber.setdefault(u, adj[u][0][1])
+    return end_fiber
+
+
+def _walked_cover(adj, fibers: list[tuple[int, int]],
+                  odd: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """(node lists, fiber lists) of one trail per pair of odd nodes.
+
+    Each odd node's trail ends on its end fiber; at every node the other
+    fibers pair up in adjacency order, and trails are walked from the end
+    fibers. A closed walk this leaves is spliced into a trail at a node
+    they share; the graph is connected, so one always exists."""
+    end_fiber = _end_fibers(adj, odd)
+    partner = {}
+    for u, lst in enumerate(adj):
+        through = [k for _, k in lst if k != end_fiber.get(u)]
+        for a, b in zip(through[::2], through[1::2]):
+            partner[u, a], partner[u, b] = b, a
+    used = bytearray(len(fibers))
+
+    def walk(x, k):
+        nodes, trail = [x], []
+        while not used[k]:
+            used[k] = 1
+            trail.append(k)
+            a, b = fibers[k]
+            x = b if x == a else a
+            nodes.append(x)
+            if end_fiber.get(x) != k:
+                k = partner[x, k]
+        return nodes, trail
+
+    trails = [walk(u, end_fiber[u]) for u in odd if not used[end_fiber[u]]]
+    closed = [walk(fibers[k][0], k) for k in range(len(fibers)) if not used[k]]
+    tn, tf = map(list, zip(*trails))
+    while closed:
+        where = {x: (j, i) for j, ns in enumerate(tn) for i, x in enumerate(ns)}
+        c, p = next((c, p) for c, (cn, _) in enumerate(closed)
+                    for p, x in enumerate(cn) if x in where)
+        cn, cf = closed.pop(c)
+        j, i = where[cn[p]]
+        tn[j] = tn[j][:i] + cn[p:-1] + cn[:p + 1] + tn[j][i + 1:]
+        tf[j] = tf[j][:i] + cf[p:] + cf[:p] + tf[j][i:]
+    return tn, tf
+
+
+def _swaps(tn: list[list[int]], tf: list[list[int]]):
+    """Every 2-opt swap that lengthens the shorter of the two trails it
+    touches, as (t, i, s, j, option). Trails t != s meet at node tn[t][i] ==
+    tn[s][j], which splits them into A + B and C + D; option 0 makes A + D
+    and C + B, option 1 makes A + reversed C and reversed B + D."""
+    at: dict[int, list[tuple[int, int]]] = {}
+    for s, ns in enumerate(tn):
+        for i, u in enumerate(ns):
+            at.setdefault(u, []).append((s, i))
+    for visits in at.values():
+        for (t, i), (s, j) in itertools.combinations(visits, 2):
+            if t != s:
+                a, b, c, d = i, len(tf[t]) - i, j, len(tf[s]) - j
+                shorter = min(a + b, c + d)
+                if min(a + d, c + b) > shorter:
+                    yield t, i, s, j, 0
+                if min(a + c, b + d) > shorter:
+                    yield t, i, s, j, 1
+
+
+def _balance(tn: list[list[int]], tf: list[list[int]]) -> None:
+    """Apply 2-opt swaps until none is left. A swap keeps every trail end
+    and never lowers the shortest trail or raises the longest; each one
+    lowers the sum of squared lengths, so the loop ends."""
+    while (move := next(_swaps(tn, tf), None)) is not None:
+        t, i, s, j, option = move
+        nt, ft, ns, fs = tn[t], tf[t], tn[s], tf[s]
+        if option == 0:
+            tn[t], tf[t] = nt[:i + 1] + ns[j + 1:], ft[:i] + fs[j:]
+            tn[s], tf[s] = ns[:j + 1] + nt[i + 1:], fs[:j] + ft[i:]
+        else:
+            tn[t], tf[t] = nt[:i + 1] + ns[:j][::-1], ft[:i] + fs[:j][::-1]
+            tn[s], tf[s] = nt[i + 1:][::-1] + ns[j:], ft[i:][::-1] + fs[j:]
+
+
+def min_trail_cover(adj: list[list[tuple[int, int]]],
+                    fibers: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(node lists, fiber lists) of a minimum trail cover of a connected
+    graph, by the rule `topology.build_beta_paths` documents."""
+    F = len(fibers)
+    odd = [u for u, lst in enumerate(adj) if len(lst) % 2 == 1]
+    if len(odd) > EXHAUSTIVE_ODD:
+        tn, tf = _walked_cover(adj, fibers, odd)
+        _balance(tn, tf)
+        return tn, tf
+    start, pairing = _exhaustive(adj, F, odd) if odd else (0, [])
+    return _cut(fibers, _euler_trail(adj, F, pairing, start), pairing, start)

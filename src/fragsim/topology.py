@@ -3,7 +3,8 @@
 A topology is loaded from a JSON file listing bidirectional fibers; each fiber
 expands to two directed links (id 2k forward, 2k+1 reverse). All links share
 one spectrum grid size. Instances are immutable after construction and safe
-to share between simulation replications.
+to share between simulation replications. The trails of the beta path cover
+come from `cover.min_trail_cover`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .cover import min_trail_cover
 
 
 class TopologyError(ValueError):
@@ -40,6 +43,8 @@ class Topology:
             raise TopologyError("node_count must be positive")
         if self.slice_count <= 0:
             raise TopologyError("slice_count must be positive")
+        if not self.links:
+            raise TopologyError("topology has no fibers")
         for ln in self.links:
             if not (0 <= ln.src < self.node_count and 0 <= ln.dst < self.node_count):
                 raise TopologyError(f"link {ln.id}: dangling node index ({ln.src},{ln.dst})")
@@ -113,6 +118,9 @@ def load_topology(path: str) -> Topology:
         fibers = [(int(a), int(b)) for a, b in doc["fibers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"malformed topology file {path}: {exc}") from exc
+    # the chequered bound behind the normalised metrics needs two slices
+    if slices < 2:
+        raise TopologyError(f"{path}: slice_count must be at least 2, got {slices}")
     return Topology.from_fibers(name, nodes, fibers, slices)
 
 
@@ -176,127 +184,33 @@ class BetaPathSet:
                                   dtype=np.intp).reshape(len(self.paths), width)
 
 
-def _euler_trail(adj: dict[int, list[tuple[int, int]]], start: int,
-                 edge_count: int) -> tuple[list[int], list[int]]:
-    """Hierholzer on an undirected multigraph; returns (nodes, edge ids)."""
-    ptr = {u: 0 for u in adj}
-    used = set()
-    stack_nodes = [start]
-    stack_edges = []
-    out_nodes, out_edges = [], []
-    while stack_nodes:
-        u = stack_nodes[-1]
-        lst = adj[u]
-        i = ptr[u]
-        while i < len(lst) and lst[i][0] in used:
-            i += 1
-        ptr[u] = i
-        if i == len(lst):
-            out_nodes.append(stack_nodes.pop())
-            if stack_edges:
-                out_edges.append(stack_edges.pop())
-        else:
-            eid, v = lst[i]
-            used.add(eid)
-            stack_nodes.append(v)
-            stack_edges.append(eid)
-    out_nodes.reverse()
-    out_edges.reverse()
-    if len(out_edges) != edge_count:
-        raise TopologyError("euler trail construction failed (graph disconnected?)")
-    return out_nodes, out_edges
-
-
-def _decompose(t: Topology, endpoints: tuple[int, int] | None,
-               pairing: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """One trail decomposition: add virtual edges per `pairing`, take the
-    Euler trail from endpoints[0], cut it at the virtual edges."""
-    F = t.fiber_count
-    adj: dict[int, list[tuple[int, int]]] = {u: [] for u in range(t.node_count)}
-    for k in range(F):
-        a, b = t.fiber(k)
-        adj[a].append((k, b))
-        adj[b].append((k, a))
-    virtual = set()
-    for i, (a, b) in enumerate(pairing):
-        eid = F + i
-        virtual.add(eid)
-        adj[a].append((eid, b))
-        adj[b].append((eid, a))
-    for u in adj:
-        adj[u].sort(key=lambda e: (e[1], e[0]))
-    start = endpoints[0] if endpoints else 0
-    nodes, edges = _euler_trail(adj, start, F + len(virtual))
-
-    trails_nodes: list[list[int]] = []
-    trails_fibers: list[list[int]] = []
-    cur_n, cur_f = [nodes[0]], []
-    for i, eid in enumerate(edges):
-        v = nodes[i + 1]
-        if eid in virtual:
-            if cur_f:
-                trails_nodes.append(cur_n)
-                trails_fibers.append(cur_f)
-            cur_n, cur_f = [v], []
-        else:
-            cur_n.append(v)
-            cur_f.append(eid)
-    if cur_f:
-        trails_nodes.append(cur_n)
-        trails_fibers.append(cur_f)
-    return trails_nodes, trails_fibers
-
-
-_PAIRING_BUDGET = 5000
-
-
-def _pairings(lst):
-    if not lst:
-        yield []
-        return
-    a = lst[0]
-    for i in range(1, len(lst)):
-        for rest in _pairings(lst[1:i] + lst[i + 1:]):
-            yield [(a, lst[i])] + rest
-
-
 def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPathSet:
     """Build the trail cover of all fibers used by the continuity component.
 
     If the undirected fiber graph has an Euler trail, a single trail covers
-    everything. Otherwise, with 2k odd-degree nodes, k-1 virtual edges pair
-    up odd nodes so one Euler trail exists; cutting that trail at the
-    virtual edges yields k trails, the minimum possible cover. Among the
-    possible endpoint/pairing choices (bounded deterministic enumeration)
-    the decomposition with the most balanced trail lengths is kept, since
-    degenerate one-hop trails carry no continuity information.
+    everything. Otherwise, with 2k odd-degree nodes, k trails is the
+    minimum possible cover, and every cover built here has exactly k.
+    Trails are kept balanced, since degenerate one-hop trails carry no
+    continuity information.
+
+    Up to 10 odd nodes, k-1 virtual edges pair up odd nodes so one Euler
+    trail exists, and cutting it at the virtual edges yields the k trails.
+    Every choice of endpoints and pairing is tried in a fixed order and the
+    first to maximise (shortest, -longest, -count) of the trail lengths is
+    kept; the search stops early at the best possible score. Above 10 odd
+    nodes, in polynomial time: each odd node is matched to a fiber of its
+    own to end its trail on, which avoids one-hop trails wherever any
+    minimum cover does, and 2-opt swaps where two trails meet then balance
+    the lengths.
 
     When requested_count exceeds the minimum, trails are split to reach the
     requested cardinality; when it cannot be met the achieved cover is
     returned with the warning flag set.
     """
-    import itertools
-
-    deg = [0] * t.node_count
-    for k in range(t.fiber_count):
-        a, b = t.fiber(k)
-        deg[a] += 1
-        deg[b] += 1
-    odd = [u for u in range(t.node_count) if deg[u] % 2 == 1]
-
-    if not odd:
-        trails_nodes, trails_fibers = _decompose(t, None, [])
-    else:
-        candidates = (((e1, e2), pairing) for e1, e2 in itertools.combinations(odd, 2)
-                      for pairing in _pairings([u for u in odd if u not in (e1, e2)]))
-        best = None
-        for endpoints, pairing in itertools.islice(candidates, _PAIRING_BUDGET):
-            tn, tf = _decompose(t, endpoints, pairing)
-            lengths = sorted(len(f) for f in tf)
-            score = (lengths[0], -lengths[-1], -len(tf))
-            if best is None or score > best[0]:
-                best = (score, tn, tf)
-        _, trails_nodes, trails_fibers = best
+    # per node, (neighbour, fiber id) in sorted order: the link order of adjacency
+    adj = [[(t.links[lid].dst, lid // 2) for lid in out] for out in t.adjacency]
+    fibers = [t.fiber(k) for k in range(t.fiber_count)]
+    trails_nodes, trails_fibers = min_trail_cover(adj, fibers)
 
     warning = False
     if requested_count is not None:

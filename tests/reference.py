@@ -5,6 +5,7 @@ must stay independent of the library's bitmask/numpy code paths.
 """
 
 import heapq
+import itertools
 
 
 def max_run(bits):
@@ -131,3 +132,112 @@ class RefSim:
 
     def free_grids(self):
         return [[not b for b in row] for row in self.busy]
+
+
+def _ref_pairings(lst):
+    if not lst:
+        yield []
+        return
+    a = lst[0]
+    for i in range(1, len(lst)):
+        for rest in _ref_pairings(lst[1:i] + lst[i + 1:]):
+            yield [(a, lst[i])] + rest
+
+
+def _ref_decompose(node_count, fibers, start, pairing):
+    """Add one virtual edge per pair, walk the Euler trail from start
+    (Hierholzer, each node's edges tried in (neighbour, edge id) order) and
+    cut it at the virtual edges; returns (node lists, fiber lists)."""
+    F = len(fibers)
+    edges = list(fibers) + list(pairing)
+    adj = {u: [] for u in range(node_count)}
+    for eid, (a, b) in enumerate(edges):
+        adj[a].append((eid, b))
+        adj[b].append((eid, a))
+    for u in adj:
+        adj[u].sort(key=lambda e: (e[1], e[0]))
+    ptr = {u: 0 for u in adj}
+    used = set()
+    stack_nodes, stack_edges = [start], []
+    out_nodes, out_edges = [], []
+    while stack_nodes:
+        u = stack_nodes[-1]
+        lst = adj[u]
+        i = ptr[u]
+        while i < len(lst) and lst[i][0] in used:
+            i += 1
+        ptr[u] = i
+        if i == len(lst):
+            out_nodes.append(stack_nodes.pop())
+            if stack_edges:
+                out_edges.append(stack_edges.pop())
+        else:
+            eid, v = lst[i]
+            used.add(eid)
+            stack_nodes.append(v)
+            stack_edges.append(eid)
+    out_nodes.reverse()
+    out_edges.reverse()
+    assert len(out_edges) == len(edges)
+    trails_nodes, trails_fibers = [], []
+    cur_n, cur_f = [out_nodes[0]], []
+    for i, eid in enumerate(out_edges):
+        v = out_nodes[i + 1]
+        if eid >= F:
+            if cur_f:
+                trails_nodes.append(cur_n)
+                trails_fibers.append(cur_f)
+            cur_n, cur_f = [v], []
+        else:
+            cur_n.append(v)
+            cur_f.append(eid)
+    if cur_f:
+        trails_nodes.append(cur_n)
+        trails_fibers.append(cur_f)
+    return trails_nodes, trails_fibers
+
+
+def ref_best_cover(node_count, fibers):
+    """Node lists of the best trail cover by exhaustive search: every
+    (endpoint pair, pairing of the other odd nodes) in enumeration order,
+    scored by (shortest, -longest, -count) of the trail lengths, the first
+    strict maximum kept."""
+    deg = [0] * node_count
+    for a, b in fibers:
+        deg[a] += 1
+        deg[b] += 1
+    odd = [u for u in range(node_count) if deg[u] % 2 == 1]
+    if not odd:
+        return _ref_decompose(node_count, fibers, 0, [])[0]
+    best = None
+    for e1, e2 in itertools.combinations(odd, 2):
+        for pairing in _ref_pairings([u for u in odd if u not in (e1, e2)]):
+            tn, tf = _ref_decompose(node_count, fibers, e1, pairing)
+            lengths = sorted(len(f) for f in tf)
+            score = (lengths[0], -lengths[-1], -len(tf))
+            if best is None or score > best[0]:
+                best = (score, tn)
+    return best[1]
+
+
+def ref_one_hop_avoidable(node_count, fibers):
+    """Whether some minimum trail cover has no one-hop trail. In a minimum
+    cover each odd node ends exactly one trail, so that holds when every
+    odd node can end its trail on a fiber of its own (Kuhn's augmenting
+    paths)."""
+    deg = [0] * node_count
+    for a, b in fibers:
+        deg[a] += 1
+        deg[b] += 1
+    owner = {}
+
+    def augment(u, seen):
+        for k, (a, b) in enumerate(fibers):
+            if u in (a, b) and k not in seen:
+                seen.add(k)
+                if k not in owner or augment(owner[k], seen):
+                    owner[k] = u
+                    return True
+        return False
+
+    return all(augment(u, set()) for u in range(node_count) if deg[u] % 2 == 1)

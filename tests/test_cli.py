@@ -66,6 +66,19 @@ class TestSnapshot:
         assert code == 2
         assert "cannot parse" in err
 
+    @pytest.mark.parametrize("nodes, slices, fibers, named", [
+        (1, 8, [], "no fibers"),
+        (2, 1, [[0, 1]], "slice_count"),
+    ])
+    def test_unusable_topology_exits_2(self, capsys, tmp_path, nodes, slices,
+                                       fibers, named):
+        topo = write_topology(tmp_path, "bad", nodes, fibers, slices)
+        code, _, err = run_cli(capsys, "transient", "--topology", topo,
+                               "--arrivals", "10", "--replications", "2",
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert named in err
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, capsys, tmp_path):
@@ -207,6 +220,14 @@ class TestMakePaths:
         assert code == 0
         assert "warning" in err
         assert len(json.loads(out)["paths"]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_path_count_below_one_exits_2(self, capsys, count):
+        code, out, err = run_cli(capsys, "make-paths",
+                                 "--topology", data_file("net_a.json"),
+                                 "--path-count", count)
+        assert code == 2
+        assert "path_count" in err and out == ""
 
     def test_shipped_net_a_paths_file_loads(self, capsys):
         code, _, _ = run_cli(capsys, "dump-state",

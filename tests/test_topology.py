@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import data_file, write_topology
+from reference import ref_best_cover, ref_one_hop_avoidable
 from fragsim.topology import (BetaPathSet, Topology, TopologyError,
                               all_pairs_routes, build_beta_paths,
                               load_beta_paths, load_topology)
@@ -62,6 +63,16 @@ class TestLoad:
         links = [Link(0, 0, 1, 8), Link(1, 1, 0, 16)]
         with pytest.raises(TopologyError, match="nonuniform"):
             Topology("bad", 2, 8, links)
+
+    def test_no_fibers_rejected(self, tmp_path):
+        p = write_topology(tmp_path, "empty", 1, [], 8)
+        with pytest.raises(TopologyError, match="no fibers"):
+            load_topology(p)
+
+    def test_one_slice_file_rejected(self, tmp_path):
+        p = write_topology(tmp_path, "thin", 2, [[0, 1]], 1)
+        with pytest.raises(TopologyError, match="slice_count"):
+            load_topology(p)
 
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError):
@@ -144,7 +155,110 @@ def covered_fibers(t, ps):
     return seen
 
 
+def random_fibers(rnd, n, extra):
+    """A random tree on n nodes plus `extra` random fibers, which may run
+    parallel to existing ones."""
+    fibers = [(i, rnd.randrange(i)) for i in range(1, n)]
+    for _ in range(extra):
+        fibers.append(tuple(rnd.sample(range(n), 2)))
+    return fibers
+
+
+def odd_count(n, fibers):
+    deg = [0] * n
+    for a, b in fibers:
+        deg[a] += 1
+        deg[b] += 1
+    return sum(d % 2 for d in deg)
+
+
+def rejoin_lengthens_shorter(node_paths):
+    """Whether two trails that meet at a node can be re-joined there (as
+    A + D and C + B, or A + reversed C and reversed B + D, for A + B and
+    C + D) so that the shorter of the two gets longer."""
+    for t, s in itertools.combinations(node_paths, 2):
+        for i, u in enumerate(t):
+            for j, v in enumerate(s):
+                if u == v:
+                    a, b, c, d = i, len(t) - 1 - i, j, len(s) - 1 - j
+                    shorter = min(a + b, c + d)
+                    if min(a + d, c + b) > shorter or min(a + c, b + d) > shorter:
+                        return True
+    return False
+
+
+# The default covers of the shipped topologies. The golden scan_budget digest
+# (net_a) and acceptance tests 06 and 08 (NSFNET) are computed on them.
+SHIPPED_COVERS = {
+    "nsfnet.json": [[1, 0, 2, 1, 7], [0, 3, 4, 5, 2], [10, 11, 8, 7, 6, 4],
+                    [13, 5, 9, 8, 12], [11, 13, 12, 10, 3]],
+    "german.json": [[1, 0, 5, 3, 1, 2, 3, 4, 2], [10, 3, 9, 10, 8, 5, 6, 7, 8],
+                    [13, 12, 11, 10, 14, 13, 15, 16, 14, 9, 4]],
+    "net_a.json": [[4, 0, 1, 2, 0, 3, 2, 5, 1, 6], [3, 4, 6, 5]],
+    "fig_example.json": [[0, 1, 2, 3, 4, 0]],
+}
+
+
 class TestBetaPaths:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_COVERS))
+    def test_shipped_default_cover_pinned(self, name):
+        t = load_topology(data_file(name))
+        assert build_beta_paths(t).node_paths == SHIPPED_COVERS[name]
+
+    def test_matches_exhaustive_oracle(self):
+        rnd = random.Random(6)
+        checked = 0
+        while checked < 100:
+            n = rnd.randint(2, 12)
+            fibers = random_fibers(rnd, n, rnd.randint(0, n))
+            odd = odd_count(n, fibers)
+            if odd > 10:
+                continue
+            t = Topology.from_fibers("rand", n, fibers, 4)
+            ps = build_beta_paths(t)
+            assert ps.node_paths == ref_best_cover(n, fibers), fibers
+            assert len(ps.paths) == max(1, odd // 2), fibers
+            checked += 1
+
+    @pytest.mark.parametrize("n", [40, 80, 120])
+    def test_large_covers_valid_and_without_one_hop_trails(self, n):
+        # above 10 odd nodes the cover comes from the matching construction
+        for seed in range(3):
+            rnd = random.Random(1000 * n + seed)
+            fibers = random_fibers(rnd, n, n // 2)
+            odd = odd_count(n, fibers)
+            assert odd > 10
+            t = Topology.from_fibers("rand", n, fibers, 4)
+            ps = build_beta_paths(t)
+            assert sorted(covered_fibers(t, ps)) == list(range(t.fiber_count))
+            for nodes, links in zip(ps.node_paths, ps.paths):
+                assert len(nodes) == len(links) + 1
+                for i, lid in enumerate(links):
+                    assert (t.links[lid].src, t.links[lid].dst) == (nodes[i], nodes[i + 1])
+            assert len(ps.paths) == odd // 2
+            assert min(ps.hop_counts) >= 2, (n, seed, ps.hop_counts)
+            assert not rejoin_lengthens_shorter(ps.node_paths)
+
+    def test_one_hop_trail_only_where_unavoidable(self):
+        # a star with 11 leaves cannot avoid one; the 13-node tree can, with
+        # six 2-hop trails
+        star = [(0, i) for i in range(1, 12)]
+        tree = [(1, 0), (2, 0), (3, 2), (4, 3), (5, 3), (6, 0), (7, 4), (8, 4),
+                (9, 3), (10, 6), (11, 2), (12, 6)]
+        graphs = [(12, star), (13, tree)]
+        rnd = random.Random(11)
+        while len(graphs) < 62:
+            n = rnd.randint(12, 30)
+            fibers = random_fibers(rnd, n, rnd.randint(0, n // 3))
+            if odd_count(n, fibers) > 10:
+                graphs.append((n, fibers))
+        for n, fibers in graphs:
+            t = Topology.from_fibers("sparse", n, fibers, 4)
+            ps = build_beta_paths(t)
+            assert sorted(covered_fibers(t, ps)) == list(range(t.fiber_count))
+            assert len(ps.paths) == odd_count(n, fibers) // 2
+            assert (min(ps.hop_counts) >= 2) == ref_one_hop_avoidable(n, fibers), fibers
+
     def test_triangle_euler_circuit(self, triangle):
         ps = build_beta_paths(triangle)
         assert len(ps.paths) == 1
