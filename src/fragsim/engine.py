@@ -2,7 +2,10 @@
 sample fragmentation metrics.
 
 One Simulation is a single replication: its own spectrum state, demand
-generator and event queue. Runners below repeat replications with
+generator and heap of pending departures. Arrivals come from the generator
+in time order, so each one first releases the connections due by its
+arrival time (departures go first on equal times) and is then handled
+directly; only departures are queued. Runners below repeat replications with
 independent RNG streams and aggregate per-sample-point means with 99%
 Student-t confidence half-widths.
 """
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 
 from .metrics import (METRICS, SUMMARY_METRICS, FragmentationReport,
                       MetricBounds, compute_bounds, snapshot_report)
-from .spectrum import SliceRange, SpectrumFault, SpectrumState
+from .spectrum import SliceRange, SpectrumState
 from .topology import BetaPathSet, Topology, all_pairs_routes
-from .traffic import (ARRIVAL, DEPARTURE, Demand, DemandGenerator,
-                      DemandProfile, EventQueue)
+from .traffic import Demand, DemandGenerator, DemandProfile, EventQueue
 
 # two-sided 99% Student-t critical values for df 1..20
 _T99 = (63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
@@ -54,7 +56,6 @@ def mean_ci99(values: list[float]) -> tuple[float, float]:
 
 @dataclass
 class Connection:
-    id: int
     route: list[int]
     range: SliceRange
     departure_time: float
@@ -102,11 +103,10 @@ class Simulation:
             self._window.append(1)
             return None
         self._window.append(0)
-        conn = Connection(demand.id, route, rng,
-                          demand.arrival_time + demand.holding_time)
+        conn = Connection(route, rng, demand.arrival_time + demand.holding_time)
         self.state.allocate(route, rng)
         self.connections[demand.id] = conn
-        self.queue.push(conn.departure_time, DEPARTURE, conn.id)
+        self.queue.push(conn.departure_time, demand.id)
         return conn
 
     def handle_departure(self, conn_id: int) -> None:
@@ -116,24 +116,14 @@ class Simulation:
     # --- driving loops ------------------------------------------------------
 
     def step_arrival(self, demand: Demand) -> Connection | None:
-        """Advance the clock to one demand, draining due departures first."""
-        self.queue.push(demand.arrival_time, ARRIVAL, demand)
-        while True:
-            t, kind, payload = self.queue.pop()
-            self.clock = t
-            if kind == DEPARTURE:
-                self.handle_departure(payload)
-            else:
-                return self.handle_arrival(payload)
-
-    def drain(self) -> None:
-        """Process all remaining departures."""
-        while len(self.queue):
-            t, kind, payload = self.queue.pop()
-            self.clock = t
-            if kind != DEPARTURE:
-                raise SpectrumFault(f"arrival queued at t={t} while draining")
-            self.handle_departure(payload)
+        """Advance the clock to one demand, releasing the connections due by
+        then (also those due at the same time) first."""
+        t = demand.arrival_time
+        heap = self.queue.heap
+        while heap and heap[0][0] <= t:
+            self.handle_departure(self.queue.pop()[1])
+        self.clock = t
+        return self.handle_arrival(demand)
 
     def br_tr(self) -> float:
         return self.blocked_requests / self.total_requests if self.total_requests else 0.0

@@ -177,6 +177,8 @@ def compute_bounds(t: Topology, paths: BetaPathSet) -> MetricBounds:
     mirroring the outer average of the component itself.
     """
     s = t.slice_count
+    if s < 2:
+        raise ValueError(f"{t.name}: slice_count {s} has no chequered pattern; need >= 2")
     alpha_min = 1.0 / (s // 2)
     beta_min = sum(beta_path_bound(h) for h in paths.hop_counts) / len(paths.hop_counts)
     return MetricBounds(alpha_min, beta_min, math.hypot(alpha_min, beta_min))

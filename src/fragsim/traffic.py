@@ -1,13 +1,18 @@
-"""Stochastic demand generation and the time-ordered event stream.
+"""Stochastic demand generation and the heap of pending departures.
 
 Arrivals follow a merged Poisson process: one exponential clock at rate
 N * lambda with a uniform source draw, statistically identical to N
-independent per-node processes but driving a single event queue. Holding
-times are exponential, widths discrete-uniform on [1, max_demand].
+independent per-node processes, so arrivals come one at a time in time
+order and only departures need a queue. Holding times are exponential,
+widths discrete-uniform on [1, max_demand].
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replication index), so replications are independent streams and
-every run is reproducible from its metadata.
+every run is reproducible from its metadata. The two exponentials are
+numpy's own draws. The three integers are drawn from the raw 64-bit Philox
+words with numpy's algorithm for `Generator.integers` (Lemire's bounded
+multiply with rejection, on 32-bit halves of the words), so they are
+exactly the values numpy would return, at a fraction of its per-call cost.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ import numpy as np
 
 RNG_NAME = "philox4x64"
 
-ARRIVAL = 1
-DEPARTURE = 0  # departures sort before arrivals at equal times
+_WORD = 0xFFFFFFFF  # low 32-bit half of a raw Philox word
 
 
 @dataclass
@@ -33,8 +37,8 @@ class DemandProfile:
     def __post_init__(self):
         if self.arrival_rate_per_node <= 0 or self.mean_holding <= 0:
             raise ValueError("rates and holding times must be positive")
-        if self.max_demand < 1:
-            raise ValueError("max_demand must be >= 1")
+        if not 1 <= self.max_demand <= 1 << 32:
+            raise ValueError(f"max_demand must be in [1, 2**32], got {self.max_demand}")
 
     @property
     def load(self) -> float:
@@ -83,17 +87,41 @@ class DemandGenerator:
         mask = (1 << 64) - 1
         self.rng = np.random.Generator(
             np.random.Philox(key=[profile.seed & mask, replication & mask]))
+        self._raw = self.rng.bit_generator.random_raw
+        self._kept = None  # high half of the last raw word, not yet used
         self._next_id = 0
         self.clock = 0.0
+
+    def _below(self, bound: int) -> int:
+        """Exactly what `self.rng.integers(0, bound)` returns, for
+        1 <= bound <= 2**32, drawn as numpy's buffered_bounded_lemire_uint32
+        draws it. Each 32-bit draw is the low half of a fresh raw word, whose
+        high half is kept for the next draw, or else the kept half, as in
+        Philox's next_uint32. Bound 1 draws nothing."""
+        if bound == 1:
+            return 0
+        while True:
+            x = self._kept
+            if x is None:
+                word = self._raw()
+                x, self._kept = word & _WORD, word >> 32
+            else:
+                self._kept = None
+            m = x * bound
+            low = m & _WORD
+            # a low part below (2**32 - bound) % bound (< bound) would bias
+            # the result, so numpy redraws it
+            if low >= bound or low >= (2**32 - bound) % bound:
+                return m >> 32
 
     def next_demand(self) -> Demand:
         p, n = self.profile, self.node_count
         self.clock += self.rng.exponential(1.0 / (n * p.arrival_rate_per_node))
-        src = int(self.rng.integers(0, n))
-        dst = int(self.rng.integers(0, n - 1))
+        src = self._below(n)
+        dst = self._below(n - 1)
         if dst >= src:
             dst += 1
-        width = int(self.rng.integers(1, p.max_demand + 1))
+        width = 1 + self._below(p.max_demand)
         holding = self.rng.exponential(p.mean_holding)
         d = Demand(self._next_id, src, dst, width, self.clock, holding)
         self._next_id += 1
@@ -101,20 +129,16 @@ class DemandGenerator:
 
 
 class EventQueue:
-    """Min-heap over (time, kind, id); departures precede arrivals on ties."""
+    """Min-heap of pending departures as (departure time, connection id),
+    so equal times leave in id order. `heap[0]` is the next one."""
 
     def __init__(self):
-        self._heap = []
+        self.heap: list[tuple[float, int]] = []
 
-    def push(self, time: float, kind: int, payload) -> None:
-        ident = payload.id if hasattr(payload, "id") else payload
-        heapq.heappush(self._heap, (time, kind, ident, payload))
+    def push(self, time: float, conn_id: int) -> None:
+        heapq.heappush(self.heap, (time, conn_id))
 
-    def pop(self):
-        """Next (time, kind, payload); the queue must not be empty."""
-        time, kind, _, payload = heapq.heappop(self._heap)
-        return time, kind, payload
-
-    def __len__(self):
-        return len(self._heap)
+    def pop(self) -> tuple[float, int]:
+        """Next (time, connection id); the queue must not be empty."""
+        return heapq.heappop(self.heap)
 

@@ -307,6 +307,16 @@ class TestExperiments:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("command,flag", [("transient", "--max-demand"),
+                                              ("sweep", "--max-demands")])
+    def test_max_demand_above_2_pow_32_exits_2(self, capsys, tmp_path, command, flag):
+        code, _, err = run_cli(capsys, command,
+                               "--topology", data_file("fig_example.json"),
+                               "--arrivals", "100", flag, str(2**32 + 1),
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert "max_demand" in err
+
     def test_scan_reaches_target_on_tiny_net(self, capsys, tmp_path):
         out = tmp_path / "exp"
         code, _, _ = run_cli(capsys, "scan",

@@ -6,10 +6,10 @@ import pytest
 from conftest import data_file
 from fragsim.engine import (Simulation, make_grid, mean_ci99, run_steady_sweep,
                             run_transient, run_utilization_scan, t99)
-from fragsim.spectrum import SliceRange, SpectrumFault
+from fragsim.spectrum import SliceRange
 from fragsim.topology import (Topology, all_pairs_routes, build_beta_paths,
                               load_topology)
-from fragsim.traffic import ARRIVAL, Demand, DemandGenerator, DemandProfile
+from fragsim.traffic import Demand, DemandGenerator, DemandProfile
 from reference import RefSim, ref_alpha, ref_beta, ref_lefm
 
 
@@ -66,19 +66,20 @@ class TestDeparture:
     def test_round_trip_restores_utilization(self, chain4):
         sim = make_sim(chain4)
         before = sim.state.utilization()
-        conn = sim.handle_arrival(Demand(0, 0, 2, 3, 0.0, 2.0))
+        assert sim.handle_arrival(Demand(0, 0, 2, 3, 0.0, 2.0)) is not None
         assert sim.state.utilization() > before
-        sim.handle_departure(conn.id)
+        sim.handle_departure(0)
         assert sim.state.utilization() == before
 
     def test_departures_leave_noncontiguous_holes(self, pair):
         # two departures free 2 slices that are not adjacent; a width-2
         # request on that link is then blocked
         sim = make_sim(pair)
-        conns = [sim.handle_arrival(Demand(i, 0, 1, 1, 0.0, 10.0)) for i in range(3)]
+        for i in range(3):
+            sim.handle_arrival(Demand(i, 0, 1, 1, 0.0, 10.0))
         sim.handle_arrival(Demand(3, 0, 1, 5, 0.0, 10.0))  # fill the rest
-        sim.handle_departure(conns[0].id)
-        sim.handle_departure(conns[2].id)
+        sim.handle_departure(0)
+        sim.handle_departure(2)
         assert sim.state.free_count(sim.routes[(0, 1)][0]) == 2
         assert sim.handle_arrival(Demand(4, 0, 1, 2, 1.0, 1.0)) is None
 
@@ -87,12 +88,16 @@ class TestDeparture:
         with pytest.raises(KeyError):
             sim.handle_departure(999)
 
-
-    def test_drain_faults_on_queued_arrival(self, pair):
+    def test_arrival_at_departure_time_reuses_freed_slices(self, pair):
+        # departures due at a demand's arrival time leave before it is routed
         sim = make_sim(pair)
-        sim.queue.push(1.0, ARRIVAL, sim.gen.next_demand())
-        with pytest.raises(SpectrumFault):
-            sim.drain()
+        assert sim.step_arrival(Demand(0, 0, 1, 8, 0.25, 1.5)) is not None  # leaves at 1.75
+        assert sim.step_arrival(Demand(1, 0, 1, 1, 1.5, 1.0)) is None  # still full
+        conn = sim.step_arrival(Demand(2, 0, 1, 8, 1.75, 1.0))
+        assert conn is not None and conn.range == SliceRange(0, 8)
+        assert sim.clock == 1.75
+        assert list(sim.connections) == [2]
+        assert sim.queue.heap == [(2.75, 2)]
 
 
 class TestInvariants:
@@ -103,7 +108,9 @@ class TestInvariants:
             occupied = sim.state.occupied_total()
             assert occupied == sum(c.range.width * len(c.route)
                                    for c in sim.connections.values())
-        sim.drain()
+        while sim.queue.heap:  # every queued id is a live connection, once
+            sim.handle_departure(sim.queue.pop()[1])
+        assert not sim.connections
         assert sim.state.occ == [0] * chain4.link_count
         assert sim.state.utilization() == 0.0
 

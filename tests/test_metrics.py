@@ -182,6 +182,13 @@ class TestBounds:
         ps = build_beta_paths(t)
         assert compute_bounds(t, ps).alpha_min == pytest.approx(1 / 3)
 
+    def test_one_slice_topology_rejected(self):
+        # from_fibers accepts S=1 (the run-length kernel is checked on it),
+        # but S=1 has no chequered pattern and so no bounds
+        t = Topology.from_fibers("thin", 2, [(0, 1)], 1)
+        with pytest.raises(ValueError, match="slice_count"):
+            compute_bounds(t, build_beta_paths(t))
+
     def test_alpha_exhaustive_one_link_s6(self):
         # every occupancy of a 1-link S=6 grid with >=1 free slice
         for bits in range(64):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
-from fragsim.traffic import (ARRIVAL, DEPARTURE, DemandGenerator, DemandProfile,
-                             EventQueue)
+from fragsim.traffic import DemandGenerator, DemandProfile, EventQueue
 
 
 class TestProfile:
@@ -37,6 +38,9 @@ class TestProfile:
             DemandProfile(1.0, -1.0, 16, 1)
         with pytest.raises(ValueError):
             DemandProfile(1.0, 1.0, 0, 1)
+        with pytest.raises(ValueError, match="max_demand"):
+            DemandProfile(1.0, 1.0, 2**32 + 1, 1)
+        assert DemandProfile(1.0, 1.0, 2**32, 1).max_demand == 2**32
 
 
 class TestGenerator:
@@ -119,36 +123,69 @@ GOLDEN_TRACE_SEED7 = [
     (2, 0, 15, 0.028058338, 3.277132432),
 ]
 
+# sha256 of 2,000 demands per (node_count, max_demand), recorded when the
+# integers were still drawn by Generator.integers: (2, 1) draws no dst and
+# no width, (14, 16) and (17, 320) carry half-words across demands
+STREAM_PINS = {
+    (2, 1): "32b8359a7bd10066822737198a22cf765e436111b55f4e987438320974263dd9",
+    (14, 16): "d1372b7890aaa2c4c8b27fd1257513612ea72afce6f2dfae928df5efadc455ef",
+    (17, 320): "267f3e4d4f5edd6d779b78d6320c940ba94ceae497aabf605890d18826407531",
+}
+
+
+@pytest.mark.parametrize("n,max_demand", STREAM_PINS)
+def test_demand_stream_pinned(n, max_demand):
+    gen = DemandGenerator(DemandProfile(3.0, 1.5, max_demand, 5), n, replication=2)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        d = gen.next_demand()
+        h.update(repr((d.src, d.dst, d.width, d.arrival_time.hex(),
+                       d.holding_time.hex())).encode())
+    assert h.hexdigest() == STREAM_PINS[(n, max_demand)]
+
+
+# 3 << 30 and 1 << 31 make numpy's rejection test see a low part equal to
+# its threshold (or a power-of-two bound's zero threshold) on a quarter or
+# half of the draws, so an off-by-one threshold shows at once
+@pytest.mark.parametrize("bound", [1, 2, 3, 14, 16, 320, 3_000_000_000,
+                                   3 << 30, 1 << 31, 1 << 32])
+def test_below_matches_generator_integers(bound):
+    for seed in range(150):
+        gen = DemandGenerator(DemandProfile(1.0, 1.0, 1, seed), 2, replication=seed % 4)
+        ref = np.random.Generator(np.random.Philox(key=[seed, seed % 4]))
+        # the draw pattern of next_demand: the kept half-word outlives the
+        # exponentials, which take whole words
+        for _ in range(20):
+            assert gen.rng.exponential(0.5) == ref.exponential(0.5)
+            got = [gen._below(bound) for _ in range(3)]
+            assert got == [int(ref.integers(0, bound)) for _ in range(3)], seed
+            assert gen.rng.exponential(2.0) == ref.exponential(2.0)
+
 
 class TestEventQueue:
     def test_heap_order(self):
         q = EventQueue()
         for t in [3.0, 1.0, 2.0]:
-            q.push(t, ARRIVAL, int(t))
-        assert [q.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
-
-    def test_departure_before_arrival_on_tie(self):
-        q = EventQueue()
-        q.push(5.0, ARRIVAL, 1)
-        q.push(5.0, DEPARTURE, 2)
-        assert q.pop()[1] == DEPARTURE
-        assert q.pop()[1] == ARRIVAL
+            q.push(t, int(t))
+        assert [q.pop() for _ in range(3)] == [(1.0, 1), (2.0, 2), (3.0, 3)]
+        assert not q.heap
 
     def test_id_breaks_remaining_ties(self):
         q = EventQueue()
-        q.push(1.0, DEPARTURE, 9)
-        q.push(1.0, DEPARTURE, 4)
-        assert q.pop()[2] == 4
+        q.push(1.0, 9)
+        q.push(1.0, 4)
+        assert q.heap[0] == (1.0, 4)
+        assert q.pop() == (1.0, 4)
 
     def test_random_events_match_sort_oracle(self):
         rnd = random.Random(9)
-        events = [(round(rnd.uniform(0, 100), 2), rnd.choice([ARRIVAL, DEPARTURE]), i)
-                  for i in range(10_000)]
+        ids = list(range(10_000))
+        rnd.shuffle(ids)  # pushed out of id order, with many equal times
+        events = [(round(rnd.uniform(0, 100), 1), i) for i in ids]
         q = EventQueue()
-        for t, kind, ident in events:
-            q.push(t, kind, ident)
-        popped = []
-        while q:
-            popped.append(q.pop())
+        for t, conn_id in events:
+            q.push(t, conn_id)
+        popped = [q.pop() for _ in events]
         assert popped == sorted(events)
+        assert not q.heap
 
