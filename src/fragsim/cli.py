@@ -192,6 +192,8 @@ def cmd_snapshot(args) -> int:
 
 def cmd_dump_state(args) -> int:
     cfg = _resolve_config(args)
+    if cfg["arrivals"] < 0:
+        raise ConfigError(f"arrivals must be >= 0, got {cfg['arrivals']}")
     topo, paths = _load_inputs(cfg)
     sim = Simulation(topo, _profile(cfg), paths)
     if cfg["arrivals"] > 0:

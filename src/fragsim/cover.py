@@ -3,9 +3,9 @@
 A graph with 2k odd-degree nodes needs at least k trails to cover every
 edge once (each odd node ends an odd number of trails), and k suffice;
 with no odd node one closed Euler trail covers it. `min_trail_cover`
-returns a cover of exactly that many trails, balanced in length. Edges are
-fiber ids 0..F-1 with endpoints `fibers[k]`; `adj[u]` lists u's
-(neighbour, fiber id) pairs in sorted order.
+returns a cover of exactly that many trails, balanced in length, as node
+sequences. Edges are fiber ids 0..F-1 with endpoints `fibers[k]`; `adj[u]`
+lists u's (neighbour, fiber id) pairs in sorted order.
 """
 
 from __future__ import annotations
@@ -66,27 +66,24 @@ def _score(edges: list[int], fiber_count: int) -> tuple[int, int, int]:
 
 
 def _cut(fibers: list[tuple[int, int]], edges: list[int], pairing: list[tuple[int, int]],
-         start: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(node lists, fiber lists) of the trails the virtual edges cut the
-    Euler trail `edges` from `start` into."""
+         start: int) -> list[list[int]]:
+    """Node lists of the trails the virtual edges cut the Euler trail
+    `edges` from `start` into."""
     F = len(fibers)
     ends = fibers + pairing
-    trails_nodes, trails_fibers = [], []
+    trails = []
     u = start
-    cur_n, cur_f = [u], []
+    cur = [u]
     for eid in edges:
         a, b = ends[eid]
         u = b if u == a else a
         if eid < F:
-            cur_n.append(u)
-            cur_f.append(eid)
+            cur.append(u)
         else:
-            trails_nodes.append(cur_n)
-            trails_fibers.append(cur_f)
-            cur_n, cur_f = [u], []
-    trails_nodes.append(cur_n)
-    trails_fibers.append(cur_f)
-    return trails_nodes, trails_fibers
+            trails.append(cur)
+            cur = [u]
+    trails.append(cur)
+    return trails
 
 
 def _pairings(lst):
@@ -229,14 +226,14 @@ def _balance(tn: list[list[int]], tf: list[list[int]]) -> None:
 
 
 def min_trail_cover(adj: list[list[tuple[int, int]]],
-                    fibers: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """(node lists, fiber lists) of a minimum trail cover of a connected
-    graph, by the rule `topology.build_beta_paths` documents."""
+                    fibers: list[tuple[int, int]]) -> list[list[int]]:
+    """Node lists of a minimum trail cover of a connected graph, by the rule
+    `topology.build_beta_paths` documents."""
     F = len(fibers)
     odd = [u for u, lst in enumerate(adj) if len(lst) % 2 == 1]
     if len(odd) > EXHAUSTIVE_ODD:
         tn, tf = _walked_cover(adj, fibers, odd)
         _balance(tn, tf)
-        return tn, tf
+        return tn
     start, pairing = _exhaustive(adj, F, odd) if odd else (0, [])
     return _cut(fibers, _euler_trail(adj, F, pairing, start), pairing, start)

@@ -61,13 +61,17 @@ class Connection:
     departure_time: float
 
 
+# arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
+BR_WINDOW = 1000
+
+
 @dataclass
 class Sample:
     t: float
     arrivals: int
     report: FragmentationReport
     br_tr: float        # cumulative blocked/total
-    br_tr_win: float    # over the trailing admission window
+    br_tr_win: float    # over the trailing BR_WINDOW arrivals
 
 
 class Simulation:
@@ -75,7 +79,7 @@ class Simulation:
 
     def __init__(self, topology: Topology, profile: DemandProfile,
                  paths: BetaPathSet, replication: int = 0,
-                 bounds: MetricBounds | None = None, window: int = 1000,
+                 bounds: MetricBounds | None = None,
                  routes: dict[tuple[int, int], list[int]] | None = None):
         self.paths = paths
         self.bounds = bounds or compute_bounds(topology, paths)
@@ -88,7 +92,7 @@ class Simulation:
         self.blocked_requests = 0
         self.clamp_events = 0
         self.clock = 0.0
-        self._window = deque(maxlen=window)
+        self._window = deque(maxlen=BR_WINDOW)
         self.samples: list[Sample] = []
 
     # --- event handlers -----------------------------------------------------
@@ -276,15 +280,18 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
     arrival budget the result carries a warning flag."""
     def scan(sim: Simulation) -> tuple[list[Sample], bool, float]:
         sim.take_sample()  # the empty-network point
-        max_util = 0.0
+        # utilization is read only after an admission: a blocked arrival
+        # only releases slices, so it can neither raise max_util nor reach
+        # a target that the last admission (or the empty network) missed
+        util = max_util = 0.0
         for n in range(1, max_arrivals + 1):
-            sim.step_arrival(sim.gen.next_demand())
+            if sim.step_arrival(sim.gen.next_demand()) is not None:
+                util = sim.state.utilization()
+                max_util = max(max_util, util)
             if n % escalate_every == 0:
                 p = sim.gen.profile
                 sim.gen.profile = DemandProfile(p.arrival_rate_per_node * escalate_factor,
                                                 p.mean_holding, p.max_demand, p.seed)
-            util = sim.state.utilization()
-            max_util = max(max_util, util)
             if n % sample_every == 0 or util >= target:
                 sim.take_sample()
                 if util >= target:

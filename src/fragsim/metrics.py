@@ -148,7 +148,7 @@ def _beta(cn: np.ndarray, avail: np.ndarray) -> float | None:
 
 def compute_alpha(state: SpectrumState) -> float | None:
     """Contiguity component; None when no link has a free slice."""
-    return _alpha(state.free, _free_runs(state, _NO_TRAILS)[0])
+    return _alpha(state.free_counts(), _free_runs(state, _NO_TRAILS)[0])
 
 
 def compute_beta(state: SpectrumState, paths: BetaPathSet) -> float | None:
@@ -217,7 +217,7 @@ def adapted_components(alpha: float, beta: float, bounds: MetricBounds) -> tuple
 def compute_lefm(state: SpectrumState) -> float | None:
     """Link-based external fragmentation: 1 - (sum of longest free runs over
     all links) / (total free slices network-wide)."""
-    return _lefm(sum(state.free), _free_runs(state, _NO_TRAILS)[0])
+    return _lefm(sum(state.free_counts()), _free_runs(state, _NO_TRAILS)[0])
 
 
 def snapshot_report(state: SpectrumState, paths: BetaPathSet,
@@ -226,12 +226,14 @@ def snapshot_report(state: SpectrumState, paths: BetaPathSet,
 
     A component with nothing free contributes its no-fragmentation value 1;
     a fully busy spectrum reports avfm = 0."""
-    util = state.utilization()
-    el = sum(1 for ss in state.free if ss > 0)
+    free = state.free_counts()
+    total = state.link_count * state.slice_count
+    util = (total - sum(free)) / total      # the same integers as state.utilization()
+    el = sum(1 for ss in free if ss > 0)
     runs, cn, avail = _free_runs(state, paths.hop_index)
-    alpha = _alpha(state.free, runs)
+    alpha = _alpha(free, runs)
     beta = _beta(cn, avail)
-    lefm = _lefm(sum(state.free), runs)
+    lefm = _lefm(sum(free), runs)
     if alpha is None and beta is None:
         return FragmentationReport(1.0, 1.0, bounds.vfm_max, 1.0, 0.0, 0.0, 0.0,
                                    0.0, util, el)

@@ -1,7 +1,9 @@
 """Per-link slice occupancy bitmaps and first-fit allocation.
 
 Each link's spectrum is one Python integer used as a bitmask (bit j set =
-slice j busy). Word-parallel scans below are bit-exact with a naive per-bit
+slice j busy), and these bitmaps are the only spectrum state: free counts
+and utilization are derived from them when asked for, so nothing is kept in
+step by hand. Word-parallel scans below are bit-exact with a naive per-bit
 loop; the test suite checks that against an independent oracle.
 
 A metrics snapshot reads every link once, through `free_matrix`: one
@@ -37,13 +39,11 @@ class SpectrumState:
         self.slice_count = slice_count
         self._full = (1 << slice_count) - 1
         self.occ = [0] * link_count
-        self.free = [slice_count] * link_count
 
-    def free_mask(self, link: int) -> int:
-        return ~self.occ[link] & self._full
-
-    def free_count(self, link: int) -> int:
-        return self.free[link]
+    def free_counts(self) -> list[int]:
+        """Number of free slices on each link."""
+        s = self.slice_count
+        return [s - occ.bit_count() for occ in self.occ]
 
     def max_contiguous_free(self, link: int) -> int:
         """Length of the longest run of free slices on one link.
@@ -51,7 +51,7 @@ class SpectrumState:
         Bit j of `g` marks a run of at least `n` free slices starting at
         slice j. Doubling `n` finds the largest power of two not above the
         longest run; halving steps then add its lower bits, highest first."""
-        g = self.free_mask(link)
+        g = ~self.occ[link] & self._full
         if not g:
             return 0
         n = 1
@@ -69,7 +69,7 @@ class SpectrumState:
     def free_bits(self, link: int) -> np.ndarray:
         """Free map of one link as a 0/1 vector, slice 0 first."""
         nbytes = (self.slice_count + 7) // 8
-        raw = self.free_mask(link).to_bytes(nbytes, "little")
+        raw = (~self.occ[link] & self._full).to_bytes(nbytes, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little")[: self.slice_count]
 
@@ -104,7 +104,6 @@ class SpectrumState:
             if self.occ[lid] & mask:
                 raise SpectrumFault(f"allocate collision on link {lid}")
             self.occ[lid] |= mask
-            self.free[lid] -= rng.width
 
     def release(self, route: list[int], rng: SliceRange) -> None:
         mask = ((1 << rng.width) - 1) << rng.start
@@ -112,14 +111,10 @@ class SpectrumState:
             if (self.occ[lid] & mask) != mask:
                 raise SpectrumFault(f"release of free slice on link {lid}")
             self.occ[lid] &= ~mask
-            self.free[lid] += rng.width
-
-    def occupied_total(self) -> int:
-        return self.link_count * self.slice_count - sum(self.free)
 
     def utilization(self) -> float:
         """Occupied slices over the whole-network slice total."""
-        return self.occupied_total() / (self.link_count * self.slice_count)
+        return sum(map(int.bit_count, self.occ)) / (self.link_count * self.slice_count)
 
     # --- debug dump format: one `linkid: 0101...` line per link (0 = free) ---
 
@@ -151,7 +146,6 @@ class SpectrumState:
                 if ch == "1":
                     occ |= 1 << j
             state.occ[lid] = occ
-            state.free[lid] = slice_count - bits.count("1")
         if len(seen) != link_count:
             raise ValueError(f"state dump covers {len(seen)} of {link_count} links")
         return state

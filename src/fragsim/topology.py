@@ -1,10 +1,11 @@
 """Network graph model, hop-count routing and construction of the beta path cover.
 
-A topology is loaded from a JSON file listing bidirectional fibers; each fiber
-expands to two directed links (id 2k forward, 2k+1 reverse). All links share
-one spectrum grid size. Instances are immutable after construction and safe
-to share between simulation replications. The trails of the beta path cover
-come from `cover.min_trail_cover`.
+A topology is its list of bidirectional fibers, loaded from a JSON file;
+the directed links and the adjacency lists are derived from it once, at
+construction: fiber k is link 2k (forward) and link 2k+1 (reverse). All
+links share one spectrum grid size. Instances are immutable after
+construction and safe to share between simulation replications. The trails
+of the beta path cover come from `cover.min_trail_cover`.
 """
 
 from __future__ import annotations
@@ -26,59 +27,46 @@ class Link:
     id: int
     src: int
     dst: int
-    slice_count: int
 
 
 @dataclass
 class Topology:
     name: str
     node_count: int
+    fibers: list[tuple[int, int]]     # fiber k = (a, b); its forward link runs a -> b
     slice_count: int
-    links: list[Link]
+    links: list[Link] = field(init=False)
     # per-node list of outgoing link ids, sorted by (dst, id)
-    adjacency: list[list[int]] = field(default_factory=list)
+    adjacency: list[list[int]] = field(init=False)
 
     def __post_init__(self):
         if self.node_count <= 0:
             raise TopologyError("node_count must be positive")
         if self.slice_count <= 0:
             raise TopologyError("slice_count must be positive")
-        if not self.links:
+        if not self.fibers:
             raise TopologyError("topology has no fibers")
+        self.links = []
+        for k, (a, b) in enumerate(self.fibers):
+            if not (0 <= a < self.node_count and 0 <= b < self.node_count):
+                raise TopologyError(f"fiber {k}: dangling node index ({a},{b})")
+            if a == b:
+                raise TopologyError(f"fiber {k}: self loop")
+            self.links += [Link(2 * k, a, b), Link(2 * k + 1, b, a)]
+        self.adjacency = [[] for _ in range(self.node_count)]
         for ln in self.links:
-            if not (0 <= ln.src < self.node_count and 0 <= ln.dst < self.node_count):
-                raise TopologyError(f"link {ln.id}: dangling node index ({ln.src},{ln.dst})")
-            if ln.src == ln.dst:
-                raise TopologyError(f"link {ln.id}: self loop")
-            if ln.slice_count != self.slice_count:
-                raise TopologyError(f"link {ln.id}: nonuniform slice_count")
-        if len(self.links) % 2 != 0:
-            raise TopologyError("links must come in forward/reverse pairs")
-        for k in range(self.fiber_count):
-            f, r = self.links[2 * k], self.links[2 * k + 1]
-            if (f.src, f.dst) != (r.dst, r.src):
-                raise TopologyError(f"fiber {k}: links {f.id},{r.id} are not reverses")
-        if not self.adjacency:
-            adj = [[] for _ in range(self.node_count)]
-            for ln in self.links:
-                adj[ln.src].append(ln.id)
-            for lst in adj:
-                lst.sort(key=lambda i: (self.links[i].dst, i))
-            self.adjacency = adj
+            self.adjacency[ln.src].append(ln.id)
+        for lst in self.adjacency:
+            lst.sort(key=lambda i: (self.links[i].dst, i))
         self._check_connected()
 
     @property
     def fiber_count(self) -> int:
-        return len(self.links) // 2
+        return len(self.fibers)
 
     @property
     def link_count(self) -> int:
         return len(self.links)
-
-    def fiber(self, k: int) -> tuple[int, int]:
-        """Endpoints (a, b) of fiber k; the forward link runs a -> b."""
-        ln = self.links[2 * k]
-        return ln.src, ln.dst
 
     def _check_connected(self):
         seen = {0}
@@ -93,14 +81,13 @@ class Topology:
         if len(seen) != self.node_count:
             raise TopologyError("graph is not connected")
 
-    @classmethod
-    def from_fibers(cls, name: str, node_count: int, fibers: list[tuple[int, int]],
-                    slice_count: int) -> "Topology":
-        links = []
-        for k, (a, b) in enumerate(fibers):
-            links.append(Link(2 * k, a, b, slice_count))
-            links.append(Link(2 * k + 1, b, a, slice_count))
-        return cls(name, node_count, slice_count, links)
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats are not truncated, and bools (a subclass of
+    int) are refused."""
+    if type(value) is not int:
+        raise TopologyError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def load_topology(path: str) -> Topology:
@@ -111,17 +98,20 @@ def load_topology(path: str) -> Topology:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise TopologyError(f"cannot parse topology file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TopologyError(f"topology file {path} must hold a JSON object")
     try:
         name = doc.get("name", path)
-        nodes = int(doc["nodes"])
-        slices = int(doc["slice_count"])
-        fibers = [(int(a), int(b)) for a, b in doc["fibers"]]
+        nodes = _json_int(doc["nodes"], "nodes")
+        slices = _json_int(doc["slice_count"], "slice_count")
+        fibers = [tuple(_json_int(n, f"fibers[{k}] endpoint") for n in (a, b))
+                  for k, (a, b) in enumerate(doc["fibers"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"malformed topology file {path}: {exc}") from exc
     # the chequered bound behind the normalised metrics needs two slices
     if slices < 2:
         raise TopologyError(f"{path}: slice_count must be at least 2, got {slices}")
-    return Topology.from_fibers(name, nodes, fibers, slices)
+    return Topology(name, nodes, fibers, slices)
 
 
 def all_pairs_routes(t: Topology) -> dict[tuple[int, int], list[int]]:
@@ -209,70 +199,64 @@ def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPat
     """
     # per node, (neighbour, fiber id) in sorted order: the link order of adjacency
     adj = [[(t.links[lid].dst, lid // 2) for lid in out] for out in t.adjacency]
-    fibers = [t.fiber(k) for k in range(t.fiber_count)]
-    trails_nodes, trails_fibers = min_trail_cover(adj, fibers)
+    trails = min_trail_cover(adj, t.fibers)
 
     warning = False
     if requested_count is not None:
-        if requested_count < len(trails_fibers):
+        if requested_count < len(trails):
             warning = True
         else:
-            while len(trails_fibers) < requested_count:
-                longest = max(range(len(trails_fibers)), key=lambda i: len(trails_fibers[i]))
-                if len(trails_fibers[longest]) < 2:
+            while len(trails) < requested_count:
+                longest = max(range(len(trails)), key=lambda i: len(trails[i]))
+                if len(trails[longest]) < 3:
                     warning = True
                     break
-                fs, ns = trails_fibers.pop(longest), trails_nodes.pop(longest)
-                cut = len(fs) // 2
-                trails_fibers += [fs[:cut], fs[cut:]]
-                trails_nodes += [ns[:cut + 1], ns[cut:]]
+                ns = trails.pop(longest)
+                cut = (len(ns) - 1) // 2
+                trails += [ns[:cut + 1], ns[cut:]]
 
-    link_paths = [_fibers_to_links(t, ns, fs) for ns, fs in zip(trails_nodes, trails_fibers)]
-    return BetaPathSet(link_paths, trails_nodes, warning=warning)
+    return BetaPathSet(_link_paths(t, trails), trails, warning=warning)
 
 
-def _fibers_to_links(t: Topology, node_seq: list[int], fiber_seq: list[int]) -> list[int]:
-    links = []
-    for i, k in enumerate(fiber_seq):
-        u = node_seq[i]
-        a, _ = t.fiber(k)
-        links.append(2 * k if a == u else 2 * k + 1)
-    return links
+def _link_paths(t: Topology, node_paths: list[list[int]]) -> list[list[int]]:
+    """The directed link ids of each node path. Each hop takes the lowest-id
+    fiber between its two nodes that no earlier hop, in this path or an
+    earlier one, has used, so parallel fibers are told apart the same way in
+    a built cover and in one loaded from its node paths."""
+    unused = {}
+    for k in reversed(range(t.fiber_count)):
+        unused.setdefault(frozenset(t.fibers[k]), []).append(k)
+    link_paths = []
+    for ns in node_paths:
+        links = []
+        for u, v in zip(ns, ns[1:]):
+            left = unused.get(frozenset((u, v)))
+            if left is None:
+                raise TopologyError(f"no fiber between nodes {u} and {v}")
+            if not left:
+                raise TopologyError(f"fiber between nodes {u} and {v} repeated: "
+                                    "the paths must cover each fiber exactly once")
+            k = left.pop()
+            links.append(2 * k if t.fibers[k][0] == u else 2 * k + 1)
+        link_paths.append(links)
+    return link_paths
 
 
 def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
-    """Load a user-supplied path file (node sequences) and validate trails;
-    a file that cannot be read raises OSError."""
+    """Load a user-supplied path file (node sequences) and validate that its
+    trails cover every fiber exactly once; a file that cannot be read raises
+    OSError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         node_paths = [[int(n) for n in p] for p in doc["paths"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"cannot parse path file {path}: {exc}") from exc
-
-    fiber_of = {}
-    for k in range(t.fiber_count):
-        a, b = t.fiber(k)
-        fiber_of[(a, b)] = k
-        fiber_of[(b, a)] = k
-    covered = set()
-    link_paths = []
-    for ns in node_paths:
-        if len(ns) < 2:
-            raise TopologyError("path must have at least one hop")
-        seen_here = set()
-        fibers = []
-        for u, v in zip(ns, ns[1:]):
-            k = fiber_of.get((u, v))
-            if k is None:
-                raise TopologyError(f"no fiber between nodes {u} and {v}")
-            if k in seen_here:
-                raise TopologyError(f"fiber {k} repeated within one path")
-            seen_here.add(k)
-            fibers.append(k)
-        covered |= seen_here
-        link_paths.append(_fibers_to_links(t, ns, fibers))
-    if covered != set(range(t.fiber_count)):
+    if any(len(ns) < 2 for ns in node_paths):
+        raise TopologyError("path must have at least one hop")
+    link_paths = _link_paths(t, node_paths)
+    covered = {lid // 2 for links in link_paths for lid in links}
+    if len(covered) != t.fiber_count:
         missing = sorted(set(range(t.fiber_count)) - covered)
         raise TopologyError(f"paths do not cover fibers {missing}")
     return BetaPathSet(link_paths, node_paths)

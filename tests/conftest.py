@@ -14,17 +14,17 @@ def data_file(name):
 
 @pytest.fixture
 def triangle():
-    return Topology.from_fibers("triangle", 3, [(0, 1), (1, 2), (0, 2)], 8)
+    return Topology("triangle", 3, [(0, 1), (1, 2), (0, 2)], 8)
 
 
 @pytest.fixture
 def line4():
-    return Topology.from_fibers("line4", 4, [(0, 1), (1, 2), (2, 3)], 8)
+    return Topology("line4", 4, [(0, 1), (1, 2), (2, 3)], 8)
 
 
 @pytest.fixture
 def star4():
-    return Topology.from_fibers("star4", 4, [(0, 1), (0, 2), (0, 3)], 8)
+    return Topology("star4", 4, [(0, 1), (0, 2), (0, 3)], 8)
 
 
 def write_topology(tmp_path, name, nodes, fibers, slices):

@@ -85,7 +85,6 @@ def test_02_bound_exhaustion():
         for hop, lid in enumerate(ps2.paths[0]):
             occ = sum(1 << j for j, ch in enumerate(rows[hop]) if ch == "0")
             st.occ[lid] = occ
-            st.free[lid] = rows[hop].count("1")
         b = compute_beta(st, ps2)
         if b is not None:
             assert bound2 - 1e-12 <= b <= 1.0
@@ -125,7 +124,7 @@ def test_04_oracle_equivalence():
         rnd.shuffle(extra)
         fibers += extra[:rnd.randint(0, len(extra))]
         s = rnd.choice([8, 12, 16])
-        t = Topology.from_fibers(f"r{trace}", n, fibers, s)
+        t = Topology(f"r{trace}", n, fibers, s)
         ps = build_beta_paths(t)
         profile = DemandProfile(rnd.uniform(1.0, 8.0), rnd.uniform(0.5, 2.0),
                                 rnd.randint(1, 8), trace + 1)

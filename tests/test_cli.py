@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fragsim
 from conftest import data_file, write_topology
 from fragsim.cli import main
 from fragsim.metrics import CSV_HEADER
+from fragsim.topology import build_beta_paths, load_beta_paths, load_topology
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +82,28 @@ class TestSnapshot:
                                "--out", str(tmp_path / "out"))
         assert code == 2
         assert named in err
+
+    @pytest.mark.parametrize("content,named", [
+        ("[1, 2]", "JSON object"),
+        ('{"nodes": 2.7, "slice_count": 8, "fibers": [[0, 1]]}', "nodes"),
+        ('{"nodes": true, "slice_count": 8, "fibers": [[0, 1]]}', "nodes"),
+        ('{"nodes": 2, "slice_count": 8.9, "fibers": [[0, 1]]}', "slice_count"),
+        ('{"nodes": 2, "slice_count": 8, "fibers": [[0, 1.9]]}', "fibers[0]"),
+    ])
+    def test_non_integer_topology_file_exits_2(self, capsys, tmp_path, content, named):
+        topo = tmp_path / "bad.json"
+        topo.write_text(content)
+        code, out, err = run_cli(capsys, "dump-state", "--topology", str(topo),
+                                 "--arrivals", "0")
+        assert code == 2 and out == ""
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_negative_dump_state_arrivals_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "dump-state", "--topology",
+                                 data_file("fig_example.json"), "--arrivals", "-5")
+        assert code == 2 and out == ""
+        assert "arrivals" in err
 
 
 class TestConfig:
@@ -228,6 +254,35 @@ class TestMakePaths:
                                  "--path-count", count)
         assert code == 2
         assert "path_count" in err and out == ""
+
+    @pytest.mark.parametrize("name", ["parallel", "fig_example.json", "net_a.json",
+                                      "nsfnet.json", "german.json"])
+    def test_written_cover_loads_as_built(self, capsys, tmp_path, name):
+        # "parallel" has two fibers between each adjacent node pair; a hop
+        # takes the lowest-id fiber not yet used, on both sides of the file
+        topo = (write_topology(tmp_path, "parallel", 3, [[0, 1], [0, 1], [1, 2], [1, 2]], 8)
+                if name == "parallel" else data_file(name))
+        out = tmp_path / "paths.json"
+        assert run_cli(capsys, "make-paths", "--topology", topo, "--out", str(out))[0] == 0
+        t = load_topology(topo)
+        built = build_beta_paths(t)
+        assert load_beta_paths(str(out), t).paths == built.paths
+        if name == "parallel":
+            assert built.node_paths == [[0, 1, 2, 1, 0]]
+            assert built.paths == [[0, 4, 7, 3]]
+        code, _, _ = run_cli(capsys, "dump-state", "--topology", topo,
+                             "--paths", str(out), "--arrivals", "0")
+        assert code == 0
+
+    def test_fiber_covered_twice_exits_2(self, capsys, tmp_path):
+        doc = json.loads(open(data_file("net_a_paths.json")).read())
+        doc["paths"].append([3, 0])
+        paths = tmp_path / "paths.json"
+        paths.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "dump-state", "--topology", data_file("net_a.json"),
+                               "--paths", str(paths), "--arrivals", "0")
+        assert code == 2
+        assert "repeated" in err
 
     def test_shipped_net_a_paths_file_loads(self, capsys):
         code, _, _ = run_cli(capsys, "dump-state",
@@ -385,3 +440,36 @@ class TestExperiments:
                                "--out", str(tmp_path))
         assert code == 2
         assert "sample_every" in err
+
+
+# Run with `python -O`, where assert statements are stripped; prints whether
+# each invariant check still fires.
+UNDER_O = """
+import sys
+from fragsim.cli import main
+from fragsim.spectrum import SliceRange, SpectrumFault, SpectrumState
+
+def faults(call):
+    try:
+        call()
+    except SpectrumFault:
+        return True
+    return False
+
+st = SpectrumState(1, 8)
+st.allocate([0], SliceRange(0, 4))
+print(__debug__)
+print(faults(lambda: st.allocate([0], SliceRange(3, 2))))
+print(faults(lambda: st.release([0], SliceRange(4, 2))))
+print(main(["dump-state", "--topology", sys.argv[1], "--arrivals", "0"]))
+"""
+
+
+def test_invariants_checked_under_python_O(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fragsim.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O, str(bad)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False", "True", "True", "2"], proc.stderr
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr

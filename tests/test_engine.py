@@ -21,12 +21,12 @@ def make_sim(topology, seed=1, max_demand=4, load=20.0, rep=0):
 
 @pytest.fixture
 def pair():
-    return Topology.from_fibers("pair", 2, [(0, 1)], 8)
+    return Topology("pair", 2, [(0, 1)], 8)
 
 
 @pytest.fixture
 def chain4():
-    return Topology.from_fibers("chain", 4, [(0, 1), (1, 2), (2, 3)], 6)
+    return Topology("chain", 4, [(0, 1), (1, 2), (2, 3)], 6)
 
 
 class TestArrival:
@@ -46,9 +46,9 @@ class TestArrival:
             route_link = sim.routes[(lid, lid + 1)][0]
             mask = sum(1 << j for j, c in enumerate(bits) if c == "1")
             sim.state.occ[route_link] = mask
-            sim.state.free[route_link] = 6 - bits.count("1")
+        free = sim.state.free_counts()
         for lid in range(3):
-            assert sim.state.free_count(sim.routes[(lid, lid + 1)][0]) >= 2
+            assert free[sim.routes[(lid, lid + 1)][0]] >= 2
         assert sim.handle_arrival(Demand(0, 0, 3, 2, 0.0, 1.0)) is None
         assert sim.blocked_requests == 1
 
@@ -80,7 +80,7 @@ class TestDeparture:
         sim.handle_arrival(Demand(3, 0, 1, 5, 0.0, 10.0))  # fill the rest
         sim.handle_departure(0)
         sim.handle_departure(2)
-        assert sim.state.free_count(sim.routes[(0, 1)][0]) == 2
+        assert sim.state.free_counts()[sim.routes[(0, 1)][0]] == 2
         assert sim.handle_arrival(Demand(4, 0, 1, 2, 1.0, 1.0)) is None
 
     def test_unknown_id_hard_fault(self, pair):
@@ -105,7 +105,7 @@ class TestInvariants:
         sim = make_sim(chain4, load=30.0, max_demand=3)
         for _ in range(400):
             sim.step_arrival(sim.gen.next_demand())
-            occupied = sim.state.occupied_total()
+            occupied = sum(bin(occ).count("1") for occ in sim.state.occ)
             assert occupied == sum(c.range.width * len(c.route)
                                    for c in sim.connections.values())
         while sim.queue.heap:  # every queued id is a live connection, once
@@ -115,7 +115,7 @@ class TestInvariants:
         assert sim.state.utilization() == 0.0
 
     def test_monotone_blocking_when_widths_grow(self):
-        t = Topology.from_fibers("tri", 3, [(0, 1), (1, 2), (0, 2)], 8)
+        t = Topology("tri", 3, [(0, 1), (1, 2), (0, 2)], 8)
         paths = build_beta_paths(t)
         gen = DemandGenerator(DemandProfile(8.0, 1.0, 4, 21), 3)
         demands = [gen.next_demand() for _ in range(300)]
@@ -141,7 +141,7 @@ class TestInvariants:
 class TestOracleEquivalence:
     def test_small_trace_matches_reference(self):
         fibers = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-        t = Topology.from_fibers("sq", 4, fibers, 12)
+        t = Topology("sq", 4, fibers, 12)
         paths = build_beta_paths(t)
         profile = DemandProfile(6.0, 1.0, 4, 31)
         gen = DemandGenerator(profile, 4)
@@ -195,7 +195,7 @@ class TestRunners:
                 assert hw >= 0.0
 
     def test_sweep_single_point_matches_transient_tail(self):
-        t = Topology.from_fibers("tri", 3, [(0, 1), (1, 2), (0, 2)], 16)
+        t = Topology("tri", 3, [(0, 1), (1, 2), (0, 2)], 16)
         paths = build_beta_paths(t)
         pts = make_grid([8.0], [2], seed=3)
         [cell] = run_steady_sweep(t, pts, paths, warmup=1500, measure=1500,
@@ -219,7 +219,7 @@ class TestRunners:
         assert pts[0].mean_holding == pytest.approx(6.0)
 
     def test_scan_reaches_full_on_small_network(self):
-        t = Topology.from_fibers("tri", 3, [(0, 1), (1, 2), (0, 2)], 16)
+        t = Topology("tri", 3, [(0, 1), (1, 2), (0, 2)], 16)
         paths = build_beta_paths(t)
         profile = DemandProfile.resolve(2, 9, load=5.0)
         res = run_utilization_scan(t, profile, paths, target=0.99,
@@ -233,7 +233,7 @@ class TestRunners:
     def test_clamp_events_summed_over_every_simulation(self):
         # single-slice demands on a 4-slice chain reach states below the
         # analytic chequered bound, so some samples are clamped
-        t = Topology.from_fibers("chain", 4, [(0, 1), (1, 2), (2, 3)], 4)
+        t = Topology("chain", 4, [(0, 1), (1, 2), (2, 3)], 4)
         paths = build_beta_paths(t)
         profile = DemandProfile.resolve(1, 1, load=8.0)
         tr = run_transient(t, profile, paths, arrivals=400, sample_every=1,

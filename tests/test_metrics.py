@@ -27,13 +27,11 @@ def state_from_free(free_strings):
             if ch == "0":
                 occ |= 1 << j
         st.occ[lid] = occ
-        st.free[lid] = bits.count("1")
     return st
 
 
 def line_topology(nodes, slices=8):
-    return Topology.from_fibers("line", nodes,
-                                [(i, i + 1) for i in range(nodes - 1)], slices)
+    return Topology("line", nodes, [(i, i + 1) for i in range(nodes - 1)], slices)
 
 
 def chequered_line(nodes, slices=8):
@@ -47,7 +45,6 @@ def chequered_line(nodes, slices=8):
         for target in (lid, lid ^ 1):
             occ = sum(1 << j for j, ch in enumerate(free) if ch == "0")
             st.occ[target] = occ
-            st.free[target] = free.count("1")
     return t, ps, st
 
 
@@ -178,14 +175,14 @@ class TestBounds:
         assert beta_path_bound(1) == 1.0
 
     def test_odd_slice_count(self):
-        t = Topology.from_fibers("odd", 2, [(0, 1)], 7)
+        t = Topology("odd", 2, [(0, 1)], 7)
         ps = build_beta_paths(t)
         assert compute_bounds(t, ps).alpha_min == pytest.approx(1 / 3)
 
     def test_one_slice_topology_rejected(self):
-        # from_fibers accepts S=1 (the run-length kernel is checked on it),
+        # Topology accepts S=1 (the run-length kernel is checked on it),
         # but S=1 has no chequered pattern and so no bounds
-        t = Topology.from_fibers("thin", 2, [(0, 1)], 1)
+        t = Topology("thin", 2, [(0, 1)], 1)
         with pytest.raises(ValueError, match="slice_count"):
             compute_bounds(t, build_beta_paths(t))
 
@@ -380,7 +377,7 @@ class TestSnapshotReport:
     def test_beta_sentinel_substitutes_one(self):
         # free capacity only off the covered direction: beta reports as
         # unfragmented, alpha still evaluated
-        t = Topology.from_fibers("pair", 2, [(0, 1)], 8)
+        t = Topology("pair", 2, [(0, 1)], 8)
         ps = BetaPathSet([[0]], [[0, 1]])
         st = state_from_free(["00000000", "10100000"])
         rep = snapshot_report(st, ps, compute_bounds(t, ps))
@@ -396,8 +393,8 @@ class TestSnapshotReport:
         assert rep.alpha == (1.0 if alpha is None else alpha)
         assert rep.beta == (1.0 if beta is None else beta)
         assert rep.lefm == (0.0 if lefm is None else lefm)
-        assert rep.el_size == sum(1 for lid in range(st.link_count)
-                                  if st.free_count(lid) > 0)
+        assert rep.el_size == sum(1 for n in st.free_counts() if n > 0)
+        assert rep.utilization == st.utilization()
 
     def test_fields_equal_components(self):
         t = load_topology(data_file("german.json"))
@@ -406,11 +403,9 @@ class TestSnapshotReport:
         empty = SpectrumState(t.link_count, t.slice_count)
         full = SpectrumState(t.link_count, t.slice_count)
         full.occ = [(1 << t.slice_count) - 1] * t.link_count
-        full.free = [0] * t.link_count
         chequered = SpectrumState(t.link_count, t.slice_count)
         for lid in range(t.link_count):
             chequered.occ[lid] = sum(1 << j for j in range(lid % 2, t.slice_count, 2))
-            chequered.free[lid] = t.slice_count // 2
         for st in (empty, full, chequered):
             self.assert_matches_components(st, ps, b)
         sim = Simulation(t, DemandProfile.resolve(16, 3, load=60.0), ps, bounds=b)
@@ -448,7 +443,6 @@ class TestFreeRuns:
         for occ in masks.values():
             st = SpectrumState(n, s)
             st.occ = list(occ)
-            st.free = [s - bin(o).count("1") for o in occ]
             yield st
 
     def check(self, st, ps):
@@ -468,9 +462,7 @@ class TestFreeRuns:
     def test_matches_loops_on_uneven_covers(self, slices):
         rnd = random.Random(slices)
         net_a = load_topology(data_file("net_a.json"))
-        t = Topology.from_fibers("net_a", net_a.node_count,
-                                 [net_a.fiber(k) for k in range(net_a.fiber_count)],
-                                 slices)
+        t = Topology("net_a", net_a.node_count, net_a.fibers, slices)
         shipped = load_beta_paths(data_file("net_a_paths.json"), t)
         assert sorted(shipped.hop_counts) == [1, 11]
         covers = [shipped] + [build_beta_paths(t, k) for k in (None, 1, 4)]

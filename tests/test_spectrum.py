@@ -9,7 +9,6 @@ from reference import max_run
 def set_busy(state, link, busy_slices):
     for j in busy_slices:
         state.occ[link] |= 1 << j
-    state.free[link] = state.slice_count - bin(state.occ[link]).count("1")
 
 
 def chequered(state, link, start_busy=0):
@@ -31,11 +30,11 @@ class TestCounts:
         st = SpectrumState(1, 8)
         chequered(st, 0)
         assert st.max_contiguous_free(0) == 1
-        assert st.free_count(0) == 4
+        assert st.free_counts() == [4]
 
     def test_free_count_all_free(self):
         st = SpectrumState(1, 8)
-        assert st.free_count(0) == 8
+        assert st.free_counts() == [8]
 
     def test_random_bitmaps_match_naive(self):
         rnd = random.Random(1)
@@ -43,9 +42,8 @@ class TestCounts:
         for _ in range(1000):
             occ = rnd.getrandbits(20)
             st.occ[0] = occ
-            st.free[0] = 20 - bin(occ).count("1")
             bits = [(occ >> j) & 1 == 0 for j in range(20)]
-            assert st.free_count(0) == sum(bits)
+            assert st.free_counts() == [sum(bits)]
             assert st.max_contiguous_free(0) == max_run(bits)
 
 
@@ -125,8 +123,7 @@ class TestFirstFit:
         set_busy(st, 0, [0, 1, 4])   # free {2,3,5}
         set_busy(st, 1, [2, 3])      # free {0,1,4,5}
         set_busy(st, 2, [1, 4, 5])   # free {0,2,3}
-        for lid in range(3):
-            assert st.free_count(lid) >= 2
+        assert min(st.free_counts()) >= 2
         assert st.find_first_fit([0, 1, 2], 2) is None
 
     def test_minimal_start_property(self):
@@ -166,11 +163,9 @@ class TestFirstFit:
 class TestAllocateRelease:
     def test_accounting_identity(self):
         st = SpectrumState(4, 8)
-        before = [st.free_count(l) for l in range(4)]
+        before = st.free_counts()
         st.allocate([1, 2], SliceRange(3, 2))
-        assert st.free_count(1) == before[1] - 2
-        assert st.free_count(2) == before[2] - 2
-        assert st.free_count(0) == before[0]
+        assert st.free_counts() == [before[0], before[1] - 2, before[2] - 2, before[3]]
 
     def test_disjoint_allocations_commute(self):
         a = SpectrumState(2, 8)
@@ -223,11 +218,12 @@ class TestAllocateRelease:
                 for lid in route:
                     for j in range(r.start, r.start + r.width):
                         occupied.add((lid, j))
+            free = st.free_counts()
             for lid in range(3):
                 expect = sum(1 << j for (l, j) in occupied if l == lid)
                 assert st.occ[lid] == expect
-                assert st.free[lid] == 16 - bin(expect).count("1")
-                assert st.max_contiguous_free(lid) <= st.free_count(lid) <= 16
+                assert free[lid] == 16 - bin(expect).count("1")
+                assert st.max_contiguous_free(lid) <= free[lid] <= 16
 
 
 class TestUtilization:
@@ -254,7 +250,7 @@ class TestDump:
         assert text.splitlines()[0] == "0: 10010001"
         again = SpectrumState.parse(text, 2, 8)
         assert again.occ == st.occ
-        assert again.free == st.free
+        assert again.free_counts() == [5, 8]
 
     def test_parse_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -58,12 +58,6 @@ class TestLoad:
         with pytest.raises(TopologyError):
             load_topology(str(p))
 
-    def test_nonuniform_slices_rejected(self):
-        from fragsim.topology import Link
-        links = [Link(0, 0, 1, 8), Link(1, 1, 0, 16)]
-        with pytest.raises(TopologyError, match="nonuniform"):
-            Topology("bad", 2, 8, links)
-
     def test_no_fibers_rejected(self, tmp_path):
         p = write_topology(tmp_path, "empty", 1, [], 8)
         with pytest.raises(TopologyError, match="no fibers"):
@@ -76,7 +70,7 @@ class TestLoad:
 
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError):
-            Topology.from_fibers("loop", 2, [(0, 0), (0, 1)], 8)
+            Topology("loop", 2, [(0, 0), (0, 1)], 8)
 
 
 class TestShortestPath:
@@ -94,7 +88,7 @@ class TestShortestPath:
 
     def test_square_with_diagonal_matches_bfs(self):
         fibers = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-        t = Topology.from_fibers("sq", 4, fibers, 8)
+        t = Topology("sq", 4, fibers, 8)
         routes = all_pairs_routes(t)
         for s in range(4):
             dist = bfs_dist(4, fibers, s)
@@ -109,7 +103,7 @@ class TestShortestPath:
             fibers = [(i, i + 1) for i in range(n - 1)]  # keep connected
             extra = [(a, b) for a in range(n) for b in range(a + 2, n)]
             fibers += rnd.sample(extra, min(len(extra), rnd.randint(0, n)))
-            t = Topology.from_fibers("rand", n, fibers, 4)
+            t = Topology("rand", n, fibers, 4)
             routes = all_pairs_routes(t)
             for s in range(n):
                 dist = bfs_dist(n, fibers, s)
@@ -125,7 +119,7 @@ class TestShortestPath:
 
     def test_tie_break_lowest_node(self):
         # two 2-hop routes 0-1-3 and 0-2-3: predecessor 1 must win
-        t = Topology.from_fibers("tie", 4, [(0, 1), (0, 2), (1, 3), (2, 3)], 8)
+        t = Topology("tie", 4, [(0, 1), (0, 2), (1, 3), (2, 3)], 8)
         r = all_pairs_routes(t)[(0, 3)]
         assert [t.links[l].src for l in r] == [0, 1]
 
@@ -214,7 +208,7 @@ class TestBetaPaths:
             odd = odd_count(n, fibers)
             if odd > 10:
                 continue
-            t = Topology.from_fibers("rand", n, fibers, 4)
+            t = Topology("rand", n, fibers, 4)
             ps = build_beta_paths(t)
             assert ps.node_paths == ref_best_cover(n, fibers), fibers
             assert len(ps.paths) == max(1, odd // 2), fibers
@@ -228,7 +222,7 @@ class TestBetaPaths:
             fibers = random_fibers(rnd, n, n // 2)
             odd = odd_count(n, fibers)
             assert odd > 10
-            t = Topology.from_fibers("rand", n, fibers, 4)
+            t = Topology("rand", n, fibers, 4)
             ps = build_beta_paths(t)
             assert sorted(covered_fibers(t, ps)) == list(range(t.fiber_count))
             for nodes, links in zip(ps.node_paths, ps.paths):
@@ -253,7 +247,7 @@ class TestBetaPaths:
             if odd_count(n, fibers) > 10:
                 graphs.append((n, fibers))
         for n, fibers in graphs:
-            t = Topology.from_fibers("sparse", n, fibers, 4)
+            t = Topology("sparse", n, fibers, 4)
             ps = build_beta_paths(t)
             assert sorted(covered_fibers(t, ps)) == list(range(t.fiber_count))
             assert len(ps.paths) == odd_count(n, fibers) // 2
