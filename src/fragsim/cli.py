@@ -110,6 +110,10 @@ def _resolve_config(args) -> dict:
         raise ConfigError("a topology file is required")
     if cfg["path_count"] is not None and cfg["path_count"] < 1:
         raise ConfigError(f"path_count must be >= 1, got {cfg['path_count']}")
+    if not 0 < cfg["scan_target"] <= 1:
+        raise ConfigError(f"scan_target must be in (0, 1], got {cfg['scan_target']}")
+    if cfg["scan_max_arrivals"] < 1:
+        raise ConfigError(f"scan_max_arrivals must be >= 1, got {cfg['scan_max_arrivals']}")
     return cfg
 
 

@@ -54,7 +54,7 @@ def mean_ci99(values: list[float]) -> tuple[float, float]:
     return m, t99(n - 1) * math.sqrt(var / n)
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
     route: list[int]
     range: SliceRange
@@ -147,8 +147,9 @@ class Simulation:
         if arrivals < 1:
             raise ValueError("arrivals must be >= 1")
         first = len(self.samples)
+        step_arrival, next_demand = self.step_arrival, self.gen.next_demand
         for n in range(1, arrivals + 1):
-            self.step_arrival(self.gen.next_demand())
+            step_arrival(next_demand())
             if n % sample_every == 0:
                 self.take_sample()
         return self.samples[first:]

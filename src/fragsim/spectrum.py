@@ -6,6 +6,11 @@ and utilization are derived from them when asked for, so nothing is kept in
 step by hand. Word-parallel scans below are bit-exact with a naive per-bit
 loop; the test suite checks that against an independent oracle.
 
+First-fit ORs the route's bitmaps into one, complements it once, and finds
+the windows of `width` free slices with O(log width) shift-ANDs: doubling
+run lengths 1, 2, 4, ... up to the largest power of two n <= width, then one
+shift by width - n (Warren, Hacker's Delight, 2nd ed., section 6-2).
+
 A metrics snapshot reads every link once, through `free_matrix`: one
 (links x slices) 0/1 array, from which the metrics take every run length
 along both axes in one numpy pass. `max_contiguous_free` (the longest free
@@ -16,7 +21,7 @@ tests check it against, and the benchmark's per-layer trace names them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +30,7 @@ class SpectrumFault(RuntimeError):
     """Internal invariant breach: double allocation or double free."""
 
 
-@dataclass(frozen=True)
-class SliceRange:
+class SliceRange(NamedTuple):
     start: int
     width: int
 
@@ -88,29 +92,37 @@ class SpectrumState:
             raise ValueError("width must be >= 1")
         if width > self.slice_count:
             return None
-        m = self._full
+        occ = self.occ
+        busy = 0
         for lid in route:
-            m &= ~self.occ[lid]
-        for _ in range(width - 1):
-            m &= m >> 1
-        m &= (1 << (self.slice_count - width + 1)) - 1
+            busy |= occ[lid]
+        # bit j of m: slices j .. j+n-1 are free on every link; bits at or
+        # above slice_count are 0, so no window runs past the last slice
+        m = ~busy & self._full
+        n = 1
+        while 2 * n <= width:
+            m &= m >> n
+            n *= 2
+        m &= m >> (width - n)
         if m == 0:
             return None
         return SliceRange((m & -m).bit_length() - 1, width)
 
     def allocate(self, route: list[int], rng: SliceRange) -> None:
+        occ = self.occ
         mask = ((1 << rng.width) - 1) << rng.start
         for lid in route:
-            if self.occ[lid] & mask:
+            if occ[lid] & mask:
                 raise SpectrumFault(f"allocate collision on link {lid}")
-            self.occ[lid] |= mask
+            occ[lid] |= mask
 
     def release(self, route: list[int], rng: SliceRange) -> None:
+        occ = self.occ
         mask = ((1 << rng.width) - 1) << rng.start
         for lid in route:
-            if (self.occ[lid] & mask) != mask:
+            if (occ[lid] & mask) != mask:
                 raise SpectrumFault(f"release of free slice on link {lid}")
-            self.occ[lid] &= ~mask
+            occ[lid] &= ~mask
 
     def utilization(self) -> float:
         """Occupied slices over the whole-network slice total."""

@@ -249,7 +249,8 @@ def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        node_paths = [[int(n) for n in p] for p in doc["paths"]]
+        node_paths = [[_json_int(n, f"paths[{i}][{j}]") for j, n in enumerate(p)]
+                      for i, p in enumerate(doc["paths"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"cannot parse path file {path}: {exc}") from exc
     if any(len(ns) < 2 for ns in node_paths):

@@ -68,7 +68,7 @@ class DemandProfile:
         return cls(arrival_rate, mean_holding, max_demand, seed)
 
 
-@dataclass
+@dataclass(slots=True)
 class Demand:
     id: int
     src: int
@@ -88,6 +88,7 @@ class DemandGenerator:
         self.rng = np.random.Generator(
             np.random.Philox(key=[profile.seed & mask, replication & mask]))
         self._raw = self.rng.bit_generator.random_raw
+        self._exponential = self.rng.exponential
         self._kept = None  # high half of the last raw word, not yet used
         self._next_id = 0
         self.clock = 0.0
@@ -116,13 +117,13 @@ class DemandGenerator:
 
     def next_demand(self) -> Demand:
         p, n = self.profile, self.node_count
-        self.clock += self.rng.exponential(1.0 / (n * p.arrival_rate_per_node))
+        self.clock += self._exponential(1.0 / (n * p.arrival_rate_per_node))
         src = self._below(n)
         dst = self._below(n - 1)
         if dst >= src:
             dst += 1
         width = 1 + self._below(p.max_demand)
-        holding = self.rng.exponential(p.mean_holding)
+        holding = self._exponential(p.mean_holding)
         d = Demand(self._next_id, src, dst, width, self.clock, holding)
         self._next_id += 1
         return d

@@ -284,6 +284,16 @@ class TestMakePaths:
         assert code == 2
         assert "repeated" in err
 
+    @pytest.mark.parametrize("node", ["4.9", "true", '"3"'])
+    def test_non_integer_path_node_exits_2(self, capsys, tmp_path, node):
+        paths = tmp_path / "paths.json"
+        paths.write_text('{"paths": [[3, 0, 1, 2, 0, 4, 3, 2, 5, 1, 6, 5], [6, %s]]}'
+                         % node)
+        code, _, err = run_cli(capsys, "dump-state", "--topology", data_file("net_a.json"),
+                               "--paths", str(paths), "--arrivals", "0")
+        assert code == 2
+        assert "paths[1][1] must be an integer" in err
+
     def test_shipped_net_a_paths_file_loads(self, capsys):
         code, _, _ = run_cli(capsys, "dump-state",
                              "--topology", data_file("net_a.json"),
@@ -385,6 +395,18 @@ class TestExperiments:
         assert lines[0] == CSV_HEADER
         utils = [float(l.split(",")[2]) for l in lines[1:]]
         assert max(utils) >= 0.99
+
+    @pytest.mark.parametrize("flag,value", [("--scan-target", "1.5"),
+                                            ("--scan-target", "0"),
+                                            ("--scan-target", "-0.5"),
+                                            ("--scan-max-arrivals", "-5"),
+                                            ("--scan-max-arrivals", "0")])
+    def test_scan_limit_out_of_range_exits_2(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(capsys, "scan", "--topology", data_file("fig_example.json"),
+                               flag, value, "--out", str(tmp_path))
+        assert code == 2
+        assert flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_sweep_measure_below_sample_every_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep",

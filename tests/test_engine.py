@@ -138,6 +138,33 @@ class TestInvariants:
         assert runs[0] == runs[1]
 
 
+    def test_state_calls_countable_on_the_instance(self):
+        # the benchmark's counter check wraps allocate/release on the
+        # Simulation's own SpectrumState and reads .route and .range.width
+        sim = make_sim(load_topology(data_file("nsfnet.json")), seed=3,
+                       max_demand=16, load=80.0)
+        calls = {"allocate": 0, "release": 0}
+
+        def counting(name):
+            method = getattr(sim.state, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            return counted
+
+        for name in calls:
+            setattr(sim.state, name, counting(name))
+        sim.run(2000, sample_every=2001)
+        admitted = sim.total_requests - sim.blocked_requests
+        assert sim.total_requests == 2000 and 0 < sim.blocked_requests
+        assert calls["allocate"] == admitted
+        assert 0 < calls["release"]
+        assert admitted - calls["release"] == len(sim.connections)
+        busy = sum(occ.bit_count() for occ in sim.state.occ)
+        assert busy == sum(c.range.width * len(c.route) for c in sim.connections.values())
+
+
 class TestOracleEquivalence:
     def test_small_trace_matches_reference(self):
         fibers = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]

@@ -160,6 +160,104 @@ class TestFirstFit:
                 prev = found
 
 
+def naive_first_fit(occs, route, width, slice_count):
+    """Per-bit first fit: the first slice that ends a run of `width` slices
+    free on every route link, minus width - 1."""
+    run = 0
+    for j in range(slice_count):
+        run = 0 if any((occs[lid] >> j) & 1 for lid in route) else run + 1
+        if run == width:
+            return j - width + 1
+    return None
+
+
+class TestFirstFitOracle:
+    """The doubling shift-AND search against a per-bit scan, on widths
+    around every power of two and on bitmaps whose only fitting window
+    touches the last slice or that hold runs one slice too short."""
+
+    SLICE_COUNTS = (1, 7, 8, 9, 64, 320)
+
+    @staticmethod
+    def widths(s):
+        return sorted({1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, s - 1, s, s + 1}
+                      - {0})
+
+    @staticmethod
+    def spread(rnd, hops, busy):
+        """Per-link bitmaps whose OR is `busy`, each busy slice set on a
+        random non-empty subset of the links."""
+        occs = [0] * hops
+        for j in range(busy.bit_length()):
+            if (busy >> j) & 1:
+                for lid in rnd.sample(range(hops), rnd.randint(1, hops)):
+                    occs[lid] |= 1 << j
+        return occs
+
+    @staticmethod
+    def short_runs(s, run, end):
+        """Busy mask with free runs of `run` slices, each after one busy
+        slice, laid from slice end - 1 downwards; slices from `end` on are
+        busy."""
+        return sum(1 << j for j in range(s)
+                   if j >= end or (end - 1 - j) % (run + 1) == run)
+
+    def tail_only(self, s, width):
+        """Busy mask whose only window of `width` free slices ends at the
+        last slice; every other free run is one slice short."""
+        tail = ((1 << width) - 1) << (s - width)
+        return self.short_runs(s, width - 1, s - width - 1) & ~tail
+
+    def cases(self, rnd, s, width):
+        for p in (0.05, 0.2, 0.5, 0.8):
+            yield sum(1 << j for j in range(s) if rnd.random() < p)
+        yield 0
+        yield (1 << s) - 1
+        yield self.short_runs(s, width - 1, s)
+        if width <= s:
+            yield self.tail_only(s, width)
+
+    def test_matches_per_bit_scan(self):
+        rnd = random.Random(9)
+        for s in self.SLICE_COUNTS:
+            for hops in range(1, 5):
+                st = SpectrumState(hops, s)
+                route = list(range(hops))
+                for width in self.widths(s):
+                    for busy in self.cases(rnd, s, width):
+                        st.occ = self.spread(rnd, hops, busy)
+                        want = naive_first_fit(st.occ, route, width, s)
+                        got = st.find_first_fit(route, width)
+                        assert got == (None if want is None else SliceRange(want, width)), \
+                            (s, hops, width, st.occ)
+
+    def test_adversarial_cases_have_the_intended_answer(self):
+        for s in self.SLICE_COUNTS:
+            for width in self.widths(s):
+                short = self.short_runs(s, width - 1, s)
+                assert naive_first_fit([short], [0], width, s) is None
+                assert short >> max(s - width + 1, 0) == 0  # the last width - 1 are free
+                if width <= s:
+                    tail = self.tail_only(s, width)
+                    assert naive_first_fit([tail], [0], width, s) == s - width
+
+    def test_width_below_one_raises(self):
+        with pytest.raises(ValueError):
+            SpectrumState(1, 8).find_first_fit([0], 0)
+
+
+class TestSliceRange:
+    def test_immutable_hashable_equal_by_value(self):
+        r = SliceRange(3, 2)
+        with pytest.raises(AttributeError):
+            r.start = 4
+        assert r == SliceRange(3, 2) and r != SliceRange(3, 1)
+        assert hash(r) == hash(SliceRange(3, 2))
+        assert {r: 1}[SliceRange(3, 2)] == 1
+        assert (r.start, r.width) == (3, 2)
+        assert SliceRange(0, 2) == (0, 2)  # a named tuple, equal to a plain one
+
+
 class TestAllocateRelease:
     def test_accounting_identity(self):
         st = SpectrumState(4, 8)
