@@ -5,7 +5,10 @@ One Simulation is a single replication: its own spectrum state, demand
 generator and heap of pending departures. Arrivals come from the generator
 in time order, so each one first releases the connections due by its
 arrival time (departures go first on equal times) and is then handled
-directly; only departures are queued. Runners below repeat replications with
+directly; only departures are queued. A sample saves the spectrum bitmaps
+and the counters; the saved states are scored SAMPLE_BATCH at a time by one
+`snapshot_reports` call, and whatever is still pending is scored before
+`run` or a runner returns. Runners below repeat replications with
 independent RNG streams and aggregate per-sample-point means with 99%
 Student-t confidence half-widths.
 """
@@ -16,8 +19,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+# snapshot_report is not called here; bench/trace_layers.py and
+# bench/selftest.py look it up in this module by name
 from .metrics import (METRICS, SUMMARY_METRICS, FragmentationReport,
-                      MetricBounds, compute_bounds, snapshot_report)
+                      MetricBounds, compute_bounds, left_sum, snapshot_report,
+                      snapshot_reports)
 from .spectrum import SliceRange, SpectrumState
 from .topology import BetaPathSet, Topology, all_pairs_routes
 from .traffic import Demand, DemandGenerator, DemandProfile, EventQueue
@@ -41,16 +47,16 @@ def t99(df: int) -> float:
          ((5 * z2 + 16) * z2 + 3) * z / 96,
          (((3 * z2 + 19) * z2 + 17) * z2 - 15) * z / 384,
          ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) * z / 92160)
-    return z + sum(gk / df ** k for k, gk in enumerate(g, 1))
+    return z + left_sum(gk / df ** k for k, gk in enumerate(g, 1))
 
 
 def mean_ci99(values: list[float]) -> tuple[float, float]:
     """Sample mean and 99% confidence half-width across replications."""
     n = len(values)
-    m = sum(values) / n
+    m = left_sum(values) / n
     if n < 2:
         return m, 0.0
-    var = sum((v - m) ** 2 for v in values) / (n - 1)
+    var = left_sum((v - m) ** 2 for v in values) / (n - 1)
     return m, t99(n - 1) * math.sqrt(var / n)
 
 
@@ -63,6 +69,11 @@ class Connection:
 
 # arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
 BR_WINDOW = 1000
+# samples scored together by one snapshot_reports call. More states per
+# call share its fixed numpy cost, but its temporaries grow with the batch:
+# at 4 they stay near 0.1 MB on German and NSFNET states, while 8 raised the
+# benchmark's peak RSS by about 0.2 MB on sweep_nsfnet.
+SAMPLE_BATCH = 4
 
 
 @dataclass
@@ -94,6 +105,8 @@ class Simulation:
         self.clock = 0.0
         self._window = deque(maxlen=BR_WINDOW)
         self.samples: list[Sample] = []
+        # (t, arrivals, occ copy, br_tr, br_tr_win) of samples not yet scored
+        self._pending: list[tuple] = []
 
     # --- event handlers -----------------------------------------------------
 
@@ -132,26 +145,40 @@ class Simulation:
     def br_tr(self) -> float:
         return self.blocked_requests / self.total_requests if self.total_requests else 0.0
 
-    def take_sample(self) -> Sample:
-        rep = snapshot_report(self.state, self.paths, self.bounds)
-        if rep.clamped:
-            self.clamp_events += 1
-        s = Sample(self.clock, self.total_requests, rep, self.br_tr(),
-                   sum(self._window) / len(self._window) if self._window else 0.0)
-        self.samples.append(s)
-        return s
+    def take_sample(self) -> None:
+        """Save the spectrum and the counters for a sample; its report is
+        computed with those of other pending samples, in `flush_samples`."""
+        window = self._window
+        self._pending.append((self.clock, self.total_requests, self.state.occ.copy(),
+                              self.br_tr(), sum(window) / len(window) if window else 0.0))
+        if len(self._pending) >= SAMPLE_BATCH:
+            self.flush_samples()
+
+    def flush_samples(self) -> None:
+        """Score every pending sample and append it to `samples`."""
+        pending = self._pending
+        if not pending:
+            return
+        reports = snapshot_reports([p[2] for p in pending], self.state.slice_count,
+                                   self.paths, self.bounds)
+        for (t, arrivals, _, br_tr, br_tr_win), rep in zip(pending, reports):
+            if rep.clamped:
+                self.clamp_events += 1
+            self.samples.append(Sample(t, arrivals, rep, br_tr, br_tr_win))
+        pending.clear()
 
     def run(self, arrivals: int, sample_every: int) -> list[Sample]:
         """Process `arrivals` demands, sampling after every `sample_every`-th
         of them (counted from the start of this call)."""
         if arrivals < 1:
             raise ValueError("arrivals must be >= 1")
-        first = len(self.samples)
+        first = len(self.samples) + len(self._pending)
         step_arrival, next_demand = self.step_arrival, self.gen.next_demand
         for n in range(1, arrivals + 1):
             step_arrival(next_demand())
             if n % sample_every == 0:
                 self.take_sample()
+        self.flush_samples()
         return self.samples[first:]
 
 
@@ -245,7 +272,7 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
             sim.run(warmup, sample_every=warmup + 1)  # takes no sample
         blocked0 = sim.blocked_requests
         sim.run(measure, sample_every)
-        means = [sum(col) / len(col) for col in zip(*map(_values, sim.samples))]
+        means = [left_sum(col) / len(col) for col in zip(*map(_values, sim.samples))]
         # br_tr is the blocking ratio of the window, not a mean of cumulative ratios
         means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
         return means
@@ -279,6 +306,13 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
     through churn; once arrivals vastly outpace departures the spectrum
     fills toward 1.0. If the target utilization is not reached within the
     arrival budget the result carries a warning flag."""
+    if not 0 < target <= 1:
+        raise ValueError(f"target must be in (0, 1], got {target}")
+    if max_arrivals < 1:
+        raise ValueError(f"max_arrivals must be >= 1, got {max_arrivals}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+
     def scan(sim: Simulation) -> tuple[list[Sample], bool, float]:
         sim.take_sample()  # the empty-network point
         # utilization is read only after an admission: a blocked arrival
@@ -296,7 +330,9 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
             if n % sample_every == 0 or util >= target:
                 sim.take_sample()
                 if util >= target:
+                    sim.flush_samples()
                     return sim.samples, True, max_util
+        sim.flush_samples()
         return sim.samples, False, max_util
 
     [([result], clamps)] = _replicate(topology, paths, [profile], 1, scan)

@@ -10,18 +10,25 @@ All functions are pure over read-only snapshots. The "no free slice"
 situation is reported as None; snapshot_report maps it to the
 no-fragmentation convention (a fully busy spectrum is not fragmented).
 
-Alpha and beta both take longest free runs over the same free map, alpha
+Alpha and beta both take longest free runs over the same free maps, alpha
 along each link's slices and beta along each trail's hops at every slice
-index; `_free_runs` takes both in one numpy pass, and its link runs feed
-both alpha and lefm. compute_alpha, compute_beta and compute_lefm wrap the
-same private helpers, so each gives exactly the value snapshot_report
-reports.
+index. `snapshot_reports` scores a batch of saved states together:
+`_batch_runs` packs the free maps of every state into one bit string, finds
+every link run with one edge pass over it, and bit-slices the trails (an
+OR of ANDs over consecutive hops per run length) instead of walking each
+(trail, slice) column. Its link runs feed both alpha and lefm.
+snapshot_report is snapshot_reports on a batch of one, and compute_alpha,
+compute_beta and compute_lefm wrap the same private helpers, so each gives
+exactly the value snapshot_report reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, repeat
+from operator import and_, or_
 
 import numpy as np
 
@@ -72,91 +79,155 @@ def report_csv_row(t: float, arrivals: int, rep: FragmentationReport, br_tr: flo
 _NO_TRAILS = np.zeros((0, 0), dtype=np.intp)
 
 
-def _free_runs(state: SpectrumState, hop_index: np.ndarray):
-    """Each link's longest run of free slices (a list), and per (trail,
-    slice index) the longest run of free hops (CN) and the free hop count
-    (AS) as (trails x slices) arrays.
-
-    One flat 0/1 vector holds a leading 0, every link row, then every
-    (trail, slice index) column of hops, each followed by a 0. The -1 that
-    pads `hop_index` names a busy row after the links, so all columns have
-    one length, and one comparison with the vector shifted by one finds
-    where every run starts and ends."""
-    links, s = state.link_count, state.slice_count
-    trails, width = hop_index.shape
-    split = 1 + (links + 1) * (s + 1)
-    v = np.zeros(split + trails * s * (width + 1), dtype=np.uint8)
-    rows = v[1:split].reshape(links + 1, s + 1)       # the last row stays busy
-    rows[:links, :s] = state.free_matrix()
-    hops = rows[hop_index, :s]                        # (trails, hops, slices)
-    v[split:].reshape(trails, s, width + 1)[:, :, :width] = hops.transpose(0, 2, 1)
-    b = v.view(bool)
-    # counted from v[1], run i covers [edges[2i], edges[2i + 1])
-    edges = np.flatnonzero(b[1:] != b[:-1])
-    seg, lengths = edges[::2], edges[1::2]
-    lengths -= seg
-    # each run's segment, in place of its start: true division truncated on
-    # assignment is exact below 2**52 and, unlike //, pages in no numpy loop
-    # that the simulation does not already use
-    k = np.count_nonzero(seg < split - 1)             # runs on links
-    seg[:k] = seg[:k] / (s + 1)
-    cols = seg[k:]
-    cols -= split - 1
-    cols[:] = cols / (width + 1)
-    cols += links + 1
-    best = np.zeros(links + 1 + trails * s, dtype=np.intp)
-    np.maximum.at(best, seg, lengths)
-    return (best[:links].tolist(), best[links + 1:].reshape(trails, s),
-            hops.sum(axis=1, dtype=np.intp))
-
-
-def _alpha(free: list[int], runs: list[int]) -> float | None:
+def left_sum(values) -> float:
+    """Sum of floats added left to right. Python 3.12's sum() compensates
+    rounding, so using it would make the outputs depend on the interpreter."""
     total = 0.0
-    n = 0
-    for ss, cg in zip(free, runs):
-        if ss:
-            total += cg / ss
-            n += 1
-    if n == 0:
-        return None
-    return total / n
+    for v in values:
+        total += v
+    return total
 
 
-def _lefm(total_free: int, runs: list[int]) -> float | None:
-    if total_free == 0:
-        return None
-    return 1.0 - sum(runs) / total_free
+def _batch_runs(occupancies: list[list[int]], slice_count: int, hop_index: np.ndarray):
+    """For each state of a batch, given as its busy bitmaps: each link's
+    longest run of free slices and its free slice count, as (states x
+    links) arrays, and per (trail, slice index) the longest run of free hops
+    (CN) and the free hop count (AS), as (states x trails x slices) arrays.
+
+    The free maps of all states are packed into one bit string, one row per
+    link and each row at least one busy pad bit longer than the spectrum, so
+    no run crosses a row."""
+    states, links = len(occupancies), len(occupancies[0])
+    nbytes = slice_count // 8 + 1
+    size = states * links * nbytes
+    busy = b"".join(map(int.to_bytes, chain.from_iterable(occupancies),
+                        repeat(nbytes), repeat("little")))
+    spectra = ((1 << slice_count) - 1).to_bytes(nbytes, "little") * (states * links)
+    free = int.from_bytes(busy, "little") ^ int.from_bytes(spectra, "little")
+    # each temporary is dropped once used: the batch's can set the peak RSS
+    del busy, spectra
+    rows = np.frombuffer(free.to_bytes(size, "little"), dtype=np.uint8).reshape(
+        states, links, nbytes)
+    longest, count = _link_runs(free, size, (states, links), 8 * nbytes)
+    del free
+    return (longest, count, *_trail_counts(rows, slice_count, hop_index))
 
 
-def _beta(cn: np.ndarray, avail: np.ndarray) -> float | None:
-    """Mean over trails of the mean CN/AS over slice indices with AS > 0; a
-    trail with no free slice anywhere contributes its no-fragmentation
-    value 1."""
+def _link_runs(free: int, size: int, shape: tuple[int, int], width: int):
+    """Longest run of one bits and one-bit count of each (state, link) row
+    of `width` bits in `free`, a bit string of `size` bytes.
+
+    One XOR of the bit string with itself shifted by one marks where every
+    run starts and ends; bit 0 is preceded by a busy bit."""
+    marks = np.frombuffer((free ^ (free << 1)).to_bytes(size + 1, "little"), dtype=np.uint8)
+    edges = np.flatnonzero(np.unpackbits(marks, bitorder="little").view(bool))
+    # run i covers [edges[2i], edges[2i + 1]); its row replaces its start:
+    # true division truncated on assignment is exact below 2**52 and, unlike
+    # //, pages in no numpy loop that the simulation does not already use
+    starts, lengths = edges[::2], edges[1::2]
+    lengths -= starts
+    starts[:] = starts / width
+    longest = np.zeros(shape[0] * shape[1], dtype=np.intp)
+    np.maximum.at(longest, starts, lengths)
+    # float64 counts, exact below 2**53
+    count = np.bincount(starts, weights=lengths, minlength=longest.size)
+    return longest.reshape(shape), count.reshape(shape)
+
+
+def _trail_counts(rows: np.ndarray, slice_count: int, hop_index: np.ndarray):
+    """CN and AS of every (state, trail, slice index), from the packed free
+    maps `rows` (states x links x bytes).
+
+    Trails are bit-sliced: hop i of every (trail, state) is one int, and
+    layer r holds the slices where some r consecutive hops are free, the OR
+    over i of the AND of hops i to i+r-1. Layers are nested, so CN counts
+    the layers that hold a slice, and AS the hops that do."""
+    states, links, nbytes = rows.shape
+    trails, span = hop_index.shape
+    shape = (trails, states, nbytes)
+    size = trails * states * nbytes
+    # hop-major, with a busy row last for the -1 padding of hop_index
+    padded = np.zeros((links + 1, states, nbytes), dtype=np.uint8)
+    padded[:links] = rows.transpose(1, 0, 2)
+    packed = padded[hop_index.T].tobytes()
+    del padded
+    hops = [int.from_bytes(packed[i * size:(i + 1) * size], "little") for i in range(span)]
+    layers = []
+    window = hops                   # before layer r: AND of hops i .. i+r-1
+    for r in range(span):
+        layers.append(reduce(or_, window))
+        window = list(map(and_, window, hops[r + 1:]))
+    cn = _bit_counts(b"".join(m.to_bytes(size, "little") for m in layers), span, shape)
+    avail = _bit_counts(packed, span, shape)
+    # (trails, states, bits) -> (states, trails, slices)
+    return [c[..., :slice_count].transpose(1, 0, 2) for c in (cn, avail)]
+
+
+def _bit_counts(raw: bytes, n: int, shape: tuple[int, int, int]) -> np.ndarray:
+    """How many of the `n` bit maps in `raw` hold each bit: the maps follow
+    one another, each with its bytes laid out as `shape`, and the result is
+    indexed like a map's bits."""
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, *shape),
+                         axis=-1, bitorder="little")
+    # eight bits to an int64, one byte lane each: a sum of up to 255 maps
+    # never carries from one lane into the next
+    words = bits.view(np.int64)
+    sums = [words[i:i + 255].sum(axis=0).view(np.uint8) for i in range(0, max(n, 1), 255)]
+    return sums[0] if len(sums) == 1 else sum(c.astype(np.intp) for c in sums)
+
+
+def _link_components(longest: np.ndarray, free: np.ndarray, slice_count: int):
+    """Per state: (alpha, lefm, utilization, el_size), alpha and lefm None
+    when no link has a free slice. Alpha is the mean of longest run / free
+    count over links with a free slice, added left to right over links."""
+    held = longest > 0              # exactly the links with a free slice
+    terms = np.divide(longest, free, out=np.zeros(free.shape), where=held)
+    # adding 0.0 for a link without a free slice changes no partial sum
+    sums = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    total = free.shape[1] * slice_count
+    out = []
+    for s, el, runs, nfree in zip(sums, np.count_nonzero(held, axis=1).tolist(),
+                                  longest.sum(axis=1).tolist(), free.sum(axis=1).tolist()):
+        util = (total - nfree) / total
+        out.append((s / el, 1.0 - runs / nfree, util, el) if el else (None, None, util, 0))
+    return out
+
+
+def _betas(cn: np.ndarray, avail: np.ndarray) -> list[float | None]:
+    """Per state, the mean over trails of the mean CN/AS over slice indices
+    with AS > 0; a trail with no free slice anywhere contributes its
+    no-fragmentation value 1, and a state with none on any trail gets None."""
     mask = avail > 0
-    # trail by trail: each trail's ratios are one contiguous slice, and
-    # np.add.reduce over it sums them in np.mean's order
-    ratios = cn[mask] / avail[mask]
-    vals = []
+    cn, avail = cn[mask], avail[mask]
+    out = []
     at = 0
-    for n in mask.sum(axis=1).tolist():
-        vals.append(float(np.add.reduce(ratios[at:at + n]) / n) if n else 1.0)
-        at += n
-    if not at:
-        return None
-    return sum(vals) / len(vals)
+    for counts in mask.sum(axis=2).tolist():
+        # one state's ratios at a time; each trail's are one contiguous
+        # slice, and np.add.reduce over it sums them in np.mean's order
+        end = at + sum(counts)
+        ratios = cn[at:end] / avail[at:end]
+        at = end
+        vals = []
+        i = 0
+        for n in counts:
+            vals.append(float(np.add.reduce(ratios[i:i + n])) / n if n else 1.0)
+            i += n
+        out.append(left_sum(vals) / len(vals) if i else None)
+    return out
 
 
 def compute_alpha(state: SpectrumState) -> float | None:
     """Contiguity component; None when no link has a free slice."""
-    return _alpha(state.free_counts(), _free_runs(state, _NO_TRAILS)[0])
+    longest, free, _, _ = _batch_runs([state.occ], state.slice_count, _NO_TRAILS)
+    return _link_components(longest, free, state.slice_count)[0][0]
 
 
 def compute_beta(state: SpectrumState, paths: BetaPathSet) -> float | None:
     """Continuity component over the trail cover; None when nothing is free
     on any trail. A trail with no free slice anywhere contributes its
     no-fragmentation value 1."""
-    _, cn, avail = _free_runs(state, paths.hop_index)
-    return _beta(cn, avail)
+    _, _, cn, avail = _batch_runs([state.occ], state.slice_count, paths.hop_index)
+    return _betas(cn, avail)[0]
 
 
 def beta_path_bound(hops: int) -> float:
@@ -180,7 +251,7 @@ def compute_bounds(t: Topology, paths: BetaPathSet) -> MetricBounds:
     if s < 2:
         raise ValueError(f"{t.name}: slice_count {s} has no chequered pattern; need >= 2")
     alpha_min = 1.0 / (s // 2)
-    beta_min = sum(beta_path_bound(h) for h in paths.hop_counts) / len(paths.hop_counts)
+    beta_min = left_sum(beta_path_bound(h) for h in paths.hop_counts) / len(paths.hop_counts)
     return MetricBounds(alpha_min, beta_min, math.hypot(alpha_min, beta_min))
 
 
@@ -217,23 +288,33 @@ def adapted_components(alpha: float, beta: float, bounds: MetricBounds) -> tuple
 def compute_lefm(state: SpectrumState) -> float | None:
     """Link-based external fragmentation: 1 - (sum of longest free runs over
     all links) / (total free slices network-wide)."""
-    return _lefm(sum(state.free_counts()), _free_runs(state, _NO_TRAILS)[0])
+    longest, free, _, _ = _batch_runs([state.occ], state.slice_count, _NO_TRAILS)
+    return _link_components(longest, free, state.slice_count)[0][1]
 
 
 def snapshot_report(state: SpectrumState, paths: BetaPathSet,
                     bounds: MetricBounds) -> FragmentationReport:
-    """Bundle every metric for one observation instant.
+    """Bundle every metric for one observation instant: snapshot_reports on
+    a batch of one."""
+    return snapshot_reports([state.occ], state.slice_count, paths, bounds)[0]
+
+
+def snapshot_reports(occupancies: list[list[int]], slice_count: int, paths: BetaPathSet,
+                     bounds: MetricBounds) -> list[FragmentationReport]:
+    """The report of each state in a batch, each state given as its list of
+    per-link busy bitmaps (`SpectrumState.occ`); the whole batch shares the
+    kernel's numpy calls.
 
     A component with nothing free contributes its no-fragmentation value 1;
     a fully busy spectrum reports avfm = 0."""
-    free = state.free_counts()
-    total = state.link_count * state.slice_count
-    util = (total - sum(free)) / total      # the same integers as state.utilization()
-    el = sum(1 for ss in free if ss > 0)
-    runs, cn, avail = _free_runs(state, paths.hop_index)
-    alpha = _alpha(free, runs)
-    beta = _beta(cn, avail)
-    lefm = _lefm(sum(free), runs)
+    longest, free, cn, avail = _batch_runs(occupancies, slice_count, paths.hop_index)
+    return [_report(alpha, beta, lefm, util, el, bounds)
+            for (alpha, lefm, util, el), beta
+            in zip(_link_components(longest, free, slice_count), _betas(cn, avail))]
+
+
+def _report(alpha: float | None, beta: float | None, lefm: float | None, util: float,
+            el: int, bounds: MetricBounds) -> FragmentationReport:
     if alpha is None and beta is None:
         return FragmentationReport(1.0, 1.0, bounds.vfm_max, 1.0, 0.0, 0.0, 0.0,
                                    0.0, util, el)

@@ -11,12 +11,12 @@ the windows of `width` free slices with O(log width) shift-ANDs: doubling
 run lengths 1, 2, 4, ... up to the largest power of two n <= width, then one
 shift by width - n (Warren, Hacker's Delight, 2nd ed., section 6-2).
 
-A metrics snapshot reads every link once, through `free_matrix`: one
-(links x slices) 0/1 array, from which the metrics take every run length
-along both axes in one numpy pass. `max_contiguous_free` (the longest free
-run of one link in O(log run) big-int operations) and `free_bits` (one
-link's free map) are not on that path; they are the per-link answers the
-tests check it against, and the benchmark's per-layer trace names them.
+The metrics read the bitmaps themselves: a sample saves a copy of `occ`,
+and `metrics.snapshot_reports` packs the saved lists of a whole batch into
+one bit string. `max_contiguous_free` (the longest free run of one link in
+O(log run) big-int operations) and `free_bits` (one link's free map) are
+not on that path; they are the per-link answers the tests check it
+against, and the benchmark's per-layer trace names them.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ class SpectrumState:
         raw = (~self.occ[link] & self._full).to_bytes(nbytes, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little")[: self.slice_count]
-
-    def free_matrix(self) -> np.ndarray:
-        """Free maps of all links as a (links x slices) 0/1 matrix; row
-        `link` equals `free_bits(link)`."""
-        nbytes = (self.slice_count + 7) // 8
-        full = self._full
-        raw = b"".join((~occ & full).to_bytes(nbytes, "little") for occ in self.occ)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(self.link_count, nbytes)
-        return np.unpackbits(rows, axis=1, bitorder="little")[:, : self.slice_count]
 
     def find_first_fit(self, route: list[int], width: int) -> SliceRange | None:
         """Smallest start index where `width` slices are free on every route link."""

@@ -299,3 +299,92 @@ class TestRunners:
         assert len(calls) == 1 and len(seen) == 6
         assert all(table is seen[0] for table in seen)
         assert seen[0] == all_pairs_routes(chain4)
+
+
+class TestSampleBatches:
+    """Samples are scored in batches; the reports must not depend on where
+    the batches end."""
+
+    @staticmethod
+    def fields(samples):
+        return [(s.t, s.arrivals, s.report, s.br_tr, s.br_tr_win) for s in samples]
+
+    def per_batch_size(self, monkeypatch, drive):
+        import fragsim.engine as engine
+        out = []
+        for size in (1, 3, engine.SAMPLE_BATCH, 1000):
+            monkeypatch.setattr(engine, "SAMPLE_BATCH", size)
+            out.append(drive())
+        return out
+
+    def test_runs_of_any_length(self, monkeypatch):
+        t = load_topology(data_file("nsfnet.json"))
+        paths = build_beta_paths(t)
+        profile = DemandProfile.resolve(16, 2, load=80.0)
+
+        def drive():
+            sim = Simulation(t, profile, paths)
+            # 11 and 5 samples: neither a multiple of the batch
+            first = sim.run(23, sample_every=2)
+            second = sim.run(17, sample_every=3)
+            assert len(first) == 11 and len(second) == 5 and not sim._pending
+            assert sim.samples == first + second
+            return self.fields(sim.samples), sim.clamp_events
+
+        results = self.per_batch_size(monkeypatch, drive)
+        assert all(r == results[0] for r in results)
+
+    def test_samples_taken_before_run_are_scored_by_it(self, chain4):
+        sim = make_sim(chain4)
+        sim.take_sample()
+        assert sim.samples == [] and len(sim._pending) == 1
+        new = sim.run(4, sample_every=2)
+        assert len(new) == 2 and sim.samples[1:] == new
+        assert sim.samples[0].arrivals == 0 and not sim._pending
+
+    def test_scan_that_stops_inside_a_batch(self, monkeypatch):
+        import fragsim.engine as engine
+        t = Topology("tri", 3, [(0, 1), (1, 2), (0, 2)], 16)
+        paths = build_beta_paths(t)
+        profile = DemandProfile.resolve(2, 9, load=5.0)
+
+        def drive():
+            res = run_utilization_scan(t, profile, paths, target=0.6, sample_every=7,
+                                       max_arrivals=100_000)
+            return self.fields(res.samples), res.reached_target, res.clamp_events
+
+        results = self.per_batch_size(monkeypatch, drive)
+        assert all(r == results[0] for r in results)
+        samples, reached, _ = results[0]
+        assert reached and len(samples) % engine.SAMPLE_BATCH != 0
+
+    def test_sweep_after_warm_up(self, monkeypatch):
+        t = load_topology(data_file("net_a.json"))
+        paths = build_beta_paths(t)
+        grid = make_grid([30.0, 90.0], [8], seed=5)
+
+        def drive():
+            cells = run_steady_sweep(t, grid, paths, warmup=37, measure=50,
+                                     replications=2, sample_every=3)
+            return [(c.stats, c.clamp_events) for c in cells]
+
+        results = self.per_batch_size(monkeypatch, drive)
+        assert all(r == results[0] for r in results)
+
+
+class TestScanLimits:
+    @pytest.mark.parametrize("limits", [{"target": 0.0}, {"target": -0.5},
+                                        {"target": 1.5}, {"max_arrivals": 0},
+                                        {"max_arrivals": -5}, {"sample_every": 0}])
+    def test_out_of_range_raises(self, chain4, limits):
+        paths = build_beta_paths(chain4)
+        args = {"target": 0.5, "sample_every": 10, "max_arrivals": 100, **limits}
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            run_utilization_scan(chain4, DemandProfile.resolve(2, 1, load=4.0), paths, **args)
+
+
+class TestLeftToRightSums:
+    def test_mean_is_summed_left_to_right(self):
+        # Python 3.12's compensated sum() would give a mean of 2/13
+        values = [0.1] * 10 + [1e16, 1.0, -1e16]
+        assert mean_ci99(values)[0] == 0.0

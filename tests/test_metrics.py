@@ -1,15 +1,18 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
 
 from conftest import data_file
 from fragsim.engine import Simulation
-from fragsim.metrics import (_NO_TRAILS, MetricBounds, _free_runs,
+from fragsim.metrics import (_NO_TRAILS, MetricBounds, _batch_runs, left_sum,
                              adapted_components, beta_path_bound, compute_alpha,
                              compute_beta, compute_bounds, compute_lefm,
-                             compute_vfm, normalize, raw_nvfm, snapshot_report)
+                             compute_vfm, normalize, raw_nvfm, snapshot_report,
+                             snapshot_reports)
 from fragsim.spectrum import SpectrumState
 from fragsim.topology import (BetaPathSet, Topology, build_beta_paths,
                               load_beta_paths, load_topology)
@@ -415,7 +418,7 @@ class TestSnapshotReport:
 
 
 class TestFreeRuns:
-    """The one-pass run-length kernel against per-link and per-slice loops."""
+    """The batch run-length kernel against per-link and per-slice loops."""
 
     @staticmethod
     def longest(flags):
@@ -440,23 +443,33 @@ class TestFreeRuns:
         # each link one busy run at a random place: long free runs at both ends
         masks["one_block"] = [((1 << w) - 1) << rnd.randrange(s - w + 1)
                               for w in (rnd.randint(1, s) for _ in range(n))]
+        # slice 0 free and the last slice busy on every other link, so a run
+        # that starts a row follows a row whose last slices are busy
+        masks["row_starts"] = [(full ^ 1) if lid % 2 else 1 << (s - 1)
+                               for lid in range(n)]
         for occ in masks.values():
             st = SpectrumState(n, s)
             st.occ = list(occ)
             yield st
 
-    def check(self, st, ps):
-        runs, cn, avail = _free_runs(st, ps.hop_index)
-        assert runs == [st.max_contiguous_free(lid) for lid in range(st.link_count)]
-        s = st.slice_count
-        assert cn.shape == avail.shape == (len(ps.paths), s)
-        for ti, hops in enumerate(ps.paths):
-            for j in range(s):
-                column = [not (st.occ[lid] >> j) & 1 for lid in hops]
-                assert cn[ti, j] == self.longest(column), (ti, j)
-                assert avail[ti, j] == sum(column), (ti, j)
-        no_trails, cn0, avail0 = _free_runs(st, _NO_TRAILS)
-        assert no_trails == runs and cn0.shape == avail0.shape == (0, s)
+    def check(self, states, ps):
+        """One kernel call on the whole batch; each state against the loops."""
+        s = states[0].slice_count
+        runs, free, cn, avail = _batch_runs([st.occ for st in states], s, ps.hop_index)
+        assert runs.shape == free.shape == (len(states), states[0].link_count)
+        assert cn.shape == avail.shape == (len(states), len(ps.paths), s)
+        for k, st in enumerate(states):
+            links = range(st.link_count)
+            assert runs[k].tolist() == [st.max_contiguous_free(lid) for lid in links], k
+            assert free[k].tolist() == st.free_counts(), k
+            for ti, hops in enumerate(ps.paths):
+                for j in range(s):
+                    column = [not (st.occ[lid] >> j) & 1 for lid in hops]
+                    assert cn[k, ti, j] == self.longest(column), (k, ti, j)
+                    assert avail[k, ti, j] == sum(column), (k, ti, j)
+        no_runs, no_free, cn0, avail0 = _batch_runs([st.occ for st in states], s, _NO_TRAILS)
+        assert (no_runs == runs).all() and (no_free == free).all()
+        assert cn0.shape == avail0.shape == (len(states), 0, s)
 
     @pytest.mark.parametrize("slices", [1, 7, 8, 9, 64, 320])
     def test_matches_loops_on_uneven_covers(self, slices):
@@ -468,8 +481,14 @@ class TestFreeRuns:
         covers = [shipped] + [build_beta_paths(t, k) for k in (None, 1, 4)]
         assert len({tuple(sorted(ps.hop_counts)) for ps in covers}) > 2
         for ps in covers:
-            for st in self.states(t, rnd):
-                self.check(st, ps)
+            self.check(list(self.states(t, rnd)), ps)
+
+    def test_trail_longer_than_a_byte_lane(self):
+        # a 300-node ring is one 300-hop trail: CN and AS reach 300 > 255
+        t = Topology("ring", 300, [(i, (i + 1) % 300) for i in range(300)], 9)
+        ps = build_beta_paths(t)
+        assert ps.hop_counts == [300]
+        self.check(list(self.states(t, random.Random(3))), ps)
 
     def test_hop_index_pads_with_the_busy_row(self):
         ps = BetaPathSet([[4, 2, 0], [1], [3, 5]], [[0] * 4, [0] * 2, [0] * 3])
@@ -480,6 +499,59 @@ class TestFreeRuns:
         t = load_topology(data_file("german.json"))
         ps = build_beta_paths(t)
         sim = Simulation(t, DemandProfile.resolve(16, 5, load=80.0), ps)
+        states = []
         for _ in range(4):
             sim.run(150, sample_every=151)
-            self.check(sim.state, ps)
+            st = SpectrumState(t.link_count, t.slice_count)
+            st.occ = list(sim.state.occ)
+            states.append(st)
+        self.check(states, ps)
+
+
+class TestBatchReports:
+    """snapshot_reports on a batch equals snapshot_report state by state."""
+
+    @staticmethod
+    def assert_batches_match(states, ps, b):
+        single = [snapshot_report(st, ps, b) for st in states]
+        occs = [st.occ for st in states]
+        s = states[0].slice_count
+        for size in (1, 2, 7, len(occs)):
+            batched = [rep for i in range(0, len(occs), size)
+                       for rep in snapshot_reports(occs[i:i + size], s, ps, b)]
+            assert batched == single, size
+
+    @pytest.mark.parametrize("slices", [1, 7, 8, 9, 64, 320])
+    def test_uneven_covers(self, slices):
+        net_a = load_topology(data_file("net_a.json"))
+        t = Topology("net_a", net_a.node_count, net_a.fibers, slices)
+        covers = [load_beta_paths(data_file("net_a_paths.json"), t)]
+        covers += [build_beta_paths(t, k) for k in (None, 1, 4)]
+        # one slice has no chequered bound; any fixed bounds serve here
+        b = MetricBounds(0.25, 0.5, compute_vfm(0.25, 0.5))
+        states = list(TestFreeRuns.states(t, random.Random(slices)))
+        for ps in covers:
+            self.assert_batches_match(states, ps, b)
+
+    @pytest.mark.parametrize("name", ["german", "nsfnet", "net_a", "fig_example"])
+    def test_shipped_topologies(self, name):
+        t = load_topology(data_file(f"{name}.json"))
+        ps = build_beta_paths(t)
+        b = compute_bounds(t, ps)
+        states = list(TestFreeRuns.states(t, random.Random(len(name))))
+        for load in (20.0, 80.0, 400.0):
+            sim = Simulation(t, DemandProfile.resolve(8, 2, load=load), ps, bounds=b)
+            for _ in range(3):
+                sim.run(60, sample_every=61)
+                st = SpectrumState(t.link_count, t.slice_count)
+                st.occ = list(sim.state.occ)
+                states.append(st)
+        self.assert_batches_match(states, ps, b)
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # compensated summation (Python 3.12's sum()) gives 2.0 here
+        values = [0.1] * 10 + [1e16, 1.0, -1e16]
+        assert left_sum(values) == functools.reduce(operator.add, values) == 0.0
+        assert left_sum([]) == 0.0

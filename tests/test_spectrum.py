@@ -89,18 +89,6 @@ class TestLongestRun:
                 assert st.max_contiguous_free(0) == naive_longest_free(occ, s)
 
 
-class TestFreeMatrix:
-    def test_rows_equal_free_bits(self):
-        rnd = random.Random(6)
-        for s in (1, 7, 8, 9, 64, 320):
-            st = SpectrumState(5, s)
-            st.occ = [0, (1 << s) - 1] + [rnd.getrandbits(s) for _ in range(3)]
-            mat = st.free_matrix()
-            assert mat.shape == (5, s)
-            for lid in range(5):
-                assert mat[lid].tolist() == st.free_bits(lid).tolist()
-
-
 class TestFirstFit:
     def test_two_link_intersection(self):
         st = SpectrumState(2, 8)
