@@ -2,15 +2,15 @@
 sample fragmentation metrics.
 
 One Simulation is a single replication: its own spectrum state, demand
-generator and heap of pending departures. Arrivals come from the generator
-in time order, so each one first releases the connections due by its
-arrival time (departures go first on equal times) and is then handled
-directly; only departures are queued. A sample saves the spectrum bitmaps
-and the counters; the saved states are scored SAMPLE_BATCH at a time by one
-`snapshot_reports` call, and whatever is still pending is scored before
-`run` or a runner returns. Runners below repeat replications with
-independent RNG streams and aggregate per-sample-point means with 99%
-Student-t confidence half-widths.
+stream and heap of pending departures. `_advance` is the one event loop,
+fed by `run` from the stream and by `step_arrival` with one demand. Each
+demand first releases the connections due by its arrival time (also those
+due at it), then takes the first range free on its route or is blocked.
+A sample saves the bitmaps and the counters; the saved states are scored
+SAMPLE_BATCH at a time by one `snapshot_reports` call, and whatever is
+still pending is scored before `run` or a runner returns. Runners below
+repeat replications with independent RNG streams and aggregate
+per-sample-point means with 99% Student-t confidence half-widths.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import islice
 
 # snapshot_report is not called here; bench/trace_layers.py and
 # bench/selftest.py look it up in this module by name
@@ -64,7 +66,6 @@ def mean_ci99(values: list[float]) -> tuple[float, float]:
 class Connection:
     route: list[int]
     range: SliceRange
-    departure_time: float
 
 
 # arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
@@ -108,39 +109,41 @@ class Simulation:
         # (t, arrivals, occ copy, br_tr, br_tr_win) of samples not yet scored
         self._pending: list[tuple] = []
 
-    # --- event handlers -----------------------------------------------------
-
-    def handle_arrival(self, demand: Demand) -> Connection | None:
-        """Route, first-fit, allocate; Blocked (None) when no range fits."""
-        self.total_requests += 1
-        route = self.routes[(demand.src, demand.dst)]
-        rng = self.state.find_first_fit(route, demand.width)
-        if rng is None:
-            self.blocked_requests += 1
-            self._window.append(1)
-            return None
-        self._window.append(0)
-        conn = Connection(route, rng, demand.arrival_time + demand.holding_time)
-        self.state.allocate(route, rng)
-        self.connections[demand.id] = conn
-        self.queue.push(conn.departure_time, demand.id)
-        return conn
-
-    def handle_departure(self, conn_id: int) -> None:
-        conn = self.connections.pop(conn_id)  # unknown id -> KeyError, hard fault
-        self.state.release(conn.route, conn.range)
-
-    # --- driving loops ------------------------------------------------------
+    def _advance(self, demands, sample_every: int) -> None:
+        """Handle each (id, src, dst, width, arrival_time, holding_time) demand,
+        sampling after every `sample_every`-th (0: never). The counters and
+        the clock are locals, written back before each sample and at the end."""
+        state, routes, connections = self.state, self.routes, self.connections
+        heap, window = self.queue.heap, self._window
+        # looked up on the instance now, so wrappers set on it are seen
+        first_fit, allocate, release = state.find_first_fit, state.allocate, state.release
+        total, blocked, t = self.total_requests, self.blocked_requests, self.clock
+        due = sample_every
+        for n, (demand_id, src, dst, width, t, holding) in enumerate(demands, 1):
+            while heap and heap[0][0] <= t:  # due by t, also at t: leave first
+                conn = connections.pop(heappop(heap)[1])  # unknown id: KeyError
+                release(conn.route, conn.range)
+            total += 1
+            route = routes[src, dst]
+            rng = first_fit(route, width)
+            if rng is None:
+                blocked += 1
+                window.append(1)
+            else:
+                window.append(0)
+                allocate(route, rng)
+                connections[demand_id] = Connection(route, rng)
+                heappush(heap, (t + holding, demand_id))
+            if n == due:
+                due += sample_every
+                self.total_requests, self.blocked_requests, self.clock = total, blocked, t
+                self.take_sample()
+        self.total_requests, self.blocked_requests, self.clock = total, blocked, t
 
     def step_arrival(self, demand: Demand) -> Connection | None:
-        """Advance the clock to one demand, releasing the connections due by
-        then (also those due at the same time) first."""
-        t = demand.arrival_time
-        heap = self.queue.heap
-        while heap and heap[0][0] <= t:
-            self.handle_departure(self.queue.pop()[1])
-        self.clock = t
-        return self.handle_arrival(demand)
+        """Handle one demand as `run` does; its connection, or None if blocked."""
+        self._advance((demand,), 0)
+        return self.connections.get(demand.id)
 
     def br_tr(self) -> float:
         return self.blocked_requests / self.total_requests if self.total_requests else 0.0
@@ -172,12 +175,10 @@ class Simulation:
         of them (counted from the start of this call)."""
         if arrivals < 1:
             raise ValueError("arrivals must be >= 1")
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         first = len(self.samples) + len(self._pending)
-        step_arrival, next_demand = self.step_arrival, self.gen.next_demand
-        for n in range(1, arrivals + 1):
-            step_arrival(next_demand())
-            if n % sample_every == 0:
-                self.take_sample()
+        self._advance(islice(self.gen.stream, arrivals), sample_every)
         self.flush_samples()
         return self.samples[first:]
 
@@ -268,8 +269,7 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
                          f"({sample_every}) >= 1, or the window holds no sample")
 
     def window_means(sim: Simulation) -> list[float]:
-        if warmup:
-            sim.run(warmup, sample_every=warmup + 1)  # takes no sample
+        sim._advance(islice(sim.gen.stream, warmup), 0)  # the warm-up, unsampled
         blocked0 = sim.blocked_requests
         sim.run(measure, sample_every)
         means = [left_sum(col) / len(col) for col in zip(*map(_values, sim.samples))]
@@ -319,21 +319,28 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
         # only releases slices, so it can neither raise max_util nor reach
         # a target that the last admission (or the empty network) missed
         util = max_util = 0.0
-        for n in range(1, max_arrivals + 1):
-            if sim.step_arrival(sim.gen.next_demand()) is not None:
-                util = sim.state.utilization()
-                max_util = max(max_util, util)
-            if n % escalate_every == 0:
-                p = sim.gen.profile
-                sim.gen.profile = DemandProfile(p.arrival_rate_per_node * escalate_factor,
-                                                p.mean_holding, p.max_demand, p.seed)
-            if n % sample_every == 0 or util >= target:
-                sim.take_sample()
+
+        def demands():
+            # resumed by the event loop once it has handled the last demand
+            nonlocal util, max_util
+            for n, demand in enumerate(islice(sim.gen.stream, max_arrivals), 1):
+                yield demand
+                if demand[0] in sim.connections:
+                    util = sim.state.utilization()
+                    max_util = max(max_util, util)
+                if n % escalate_every == 0:
+                    p = sim.gen.profile
+                    sim.gen.profile = DemandProfile(p.arrival_rate_per_node * escalate_factor,
+                                                    p.mean_holding, p.max_demand, p.seed)
                 if util >= target:
-                    sim.flush_samples()
-                    return sim.samples, True, max_util
+                    return
+
+        sim._advance(demands(), sample_every)
+        reached = util >= target
+        if reached and sim.total_requests % sample_every:  # not sampled by the loop
+            sim.take_sample()
         sim.flush_samples()
-        return sim.samples, False, max_util
+        return sim.samples, reached, max_util
 
     [([result], clamps)] = _replicate(topology, paths, [profile], 1, scan)
     return ScanResult(*result, clamps)

@@ -240,17 +240,25 @@ def beta_path_bound(hops: int) -> float:
 
 
 def compute_bounds(t: Topology, paths: BetaPathSet) -> MetricBounds:
-    """Analytic worst-case (chequered spectrum) lower bounds.
+    """Analytic worst-case lower bounds of alpha and beta.
 
-    The alpha bound uses the per-link slice count S: the chequered pattern
-    leaves floor(S/2) free slices with longest run 1, so alpha_min =
-    1/floor(S/2) (= 2/S for even S). The beta bound is averaged over trails,
-    mirroring the outer average of the component itself.
+    alpha_min = 1/ceil(S/2) for a per-link slice count S, the least alpha of
+    any one link: a link with f free slices in k runs has a longest run of
+    at least f/k, and k <= ceil(S/2) runs fit in S slices, so the ratio is
+    at least 1/ceil(S/2), which the chequered pattern that starts free
+    reaches. For even S that is 2/S.
+
+    beta_min is the mean over trails of `beta_path_bound`, mirroring the
+    outer average of the component itself. For an odd hop count h that
+    bound is 2h/(h^2 - 1), the mean of the two chequered phases 2/(h - 1)
+    and 2/(h + 1), not the least value of one trail (2/(h + 1)); a state
+    below it has a raw nvfm below 0, is clamped, and counts as one of a
+    run's `clamp_events`.
     """
     s = t.slice_count
     if s < 2:
         raise ValueError(f"{t.name}: slice_count {s} has no chequered pattern; need >= 2")
-    alpha_min = 1.0 / (s // 2)
+    alpha_min = 1.0 / ((s + 1) // 2)
     beta_min = left_sum(beta_path_bound(h) for h in paths.hop_counts) / len(paths.hop_counts)
     return MetricBounds(alpha_min, beta_min, math.hypot(alpha_min, beta_min))
 
@@ -269,6 +277,11 @@ def normalize(vfm: float, bounds: MetricBounds) -> tuple[float, float]:
 
 
 def raw_nvfm(vfm: float, bounds: MetricBounds) -> float:
+    """(vfm - vfm_min) / (vfm_max - vfm_min). Bounds with no range (alpha_min
+    and beta_min both 1: two slices and one-hop trails only) leave nothing
+    to express, so every state reads 1, the no-fragmentation value."""
+    if bounds.vfm_min >= bounds.vfm_max:
+        return 1.0
     return (vfm - bounds.vfm_min) / (bounds.vfm_max - bounds.vfm_min)
 
 

@@ -8,17 +8,20 @@ widths discrete-uniform on [1, max_demand].
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replication index), so replications are independent streams and
-every run is reproducible from its metadata. The two exponentials are
-numpy's own draws. The three integers are drawn from the raw 64-bit Philox
-words with numpy's algorithm for `Generator.integers` (Lemire's bounded
-multiply with rejection, on 32-bit halves of the words), so they are
-exactly the values numpy would return, at a fraction of its per-call cost.
+every run is reproducible from its metadata. `DemandGenerator.stream`
+yields the demands as plain tuples, its draw state in locals. The two
+exponentials are numpy's own draws. The three integers come from the raw
+Philox words by numpy's algorithm for `Generator.integers` (Lemire's
+bounded multiply with rejection, on 32-bit halves of the words): exactly
+numpy's values, at a fraction of its per-call cost.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -68,8 +71,7 @@ class DemandProfile:
         return cls(arrival_rate, mean_holding, max_demand, seed)
 
 
-@dataclass(slots=True)
-class Demand:
+class Demand(NamedTuple):
     id: int
     src: int
     dst: int
@@ -83,55 +85,52 @@ class DemandGenerator:
         if node_count < 2:
             raise ValueError("need at least 2 nodes")
         self.profile = profile
-        self.node_count = node_count
         mask = (1 << 64) - 1
         self.rng = np.random.Generator(
             np.random.Philox(key=[profile.seed & mask, replication & mask]))
-        self._raw = self.rng.bit_generator.random_raw
-        self._exponential = self.rng.exponential
-        self._kept = None  # high half of the last raw word, not yet used
-        self._next_id = 0
-        self.clock = 0.0
+        self.stream = self._demands(node_count)
 
-    def _below(self, bound: int) -> int:
-        """Exactly what `self.rng.integers(0, bound)` returns, for
-        1 <= bound <= 2**32, drawn as numpy's buffered_bounded_lemire_uint32
-        draws it. Each 32-bit draw is the low half of a fresh raw word, whose
-        high half is kept for the next draw, or else the kept half, as in
-        Philox's next_uint32. Bound 1 draws nothing."""
-        if bound == 1:
-            return 0
-        while True:
-            x = self._kept
-            if x is None:
-                word = self._raw()
-                x, self._kept = word & _WORD, word >> 32
-            else:
-                self._kept = None
-            m = x * bound
-            low = m & _WORD
-            # a low part below (2**32 - bound) % bound (< bound) would bias
-            # the result, so numpy redraws it
-            if low >= bound or low >= (2**32 - bound) % bound:
-                return m >> 32
+    def _demands(self, n: int) -> Iterator[tuple[int, int, int, int, float, float]]:
+        """(id, src, dst, width, arrival_time, holding_time) tuples among n
+        nodes, forever, each from `self.profile` as it is then. Integers are
+        what `self.rng.integers(0, bound)` returns for 1 <= bound <= 2**32:
+        numpy's buffered_bounded_lemire_uint32 on the low half of a fresh raw
+        word, whose high half is kept for the next draw, or else on the kept
+        half, as in Philox's next_uint32. Bound 1 draws nothing."""
+        raw, exponential = self.rng.bit_generator.random_raw, self.rng.exponential
+        clock = 0.0
+        kept = None  # high half of the last raw word, not yet used
+        for demand_id in count():
+            p = self.profile
+            clock += exponential(1.0 / (n * p.arrival_rate_per_node))
+            draws = []
+            for bound in (n, n - 1, p.max_demand):
+                m = 0
+                while bound > 1:
+                    if kept is None:
+                        word = raw()
+                        x, kept = word & _WORD, word >> 32
+                    else:
+                        x, kept = kept, None
+                    m = x * bound
+                    low = m & _WORD
+                    # a low part below (2**32 - bound) % bound (< bound)
+                    # would bias the result, so numpy redraws it
+                    if low >= bound or low >= (2**32 - bound) % bound:
+                        break
+                draws.append(m >> 32)
+            src, dst, width = draws
+            if dst >= src:
+                dst += 1
+            yield demand_id, src, dst, width + 1, clock, exponential(p.mean_holding)
 
     def next_demand(self) -> Demand:
-        p, n = self.profile, self.node_count
-        self.clock += self._exponential(1.0 / (n * p.arrival_rate_per_node))
-        src = self._below(n)
-        dst = self._below(n - 1)
-        if dst >= src:
-            dst += 1
-        width = 1 + self._below(p.max_demand)
-        holding = self._exponential(p.mean_holding)
-        d = Demand(self._next_id, src, dst, width, self.clock, holding)
-        self._next_id += 1
-        return d
+        return Demand(*next(self.stream))
 
 
 class EventQueue:
     """Min-heap of pending departures as (departure time, connection id),
-    so equal times leave in id order. `heap[0]` is the next one."""
+    so equal times leave in id order. The event loop works on `heap` itself."""
 
     def __init__(self):
         self.heap: list[tuple[float, int]] = []

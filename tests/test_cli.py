@@ -99,6 +99,25 @@ class TestSnapshot:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("slices", [2, 3])
+    def test_one_hop_trails_on_a_narrow_grid(self, capsys, tmp_path, slices):
+        # two one-hop trails: with 3 slices the bounds used to give
+        # vfm_min = vfm_max and every report divided by zero
+        topo = write_topology(tmp_path, "narrow", 3, [[0, 1], [1, 2]], slices)
+        state = tmp_path / "state.txt"
+        rows = ["01", "00", "10", "11"] if slices == 2 else ["010", "000", "101", "011"]
+        state.write_text("".join(f"{lid}: {bits}\n" for lid, bits in enumerate(rows)))
+        code, out, err = run_cli(capsys, "snapshot", str(state), "--topology", topo,
+                                 "--path-count", "2")
+        assert code == 0, err
+        vals = dict(line.split() for line in out.strip().splitlines())
+        assert 0.0 <= float(vals["nvfm"]) <= 1.0
+        code, _, err = run_cli(capsys, "transient", "--topology", topo, "--path-count", "2",
+                               "--arrivals", "50", "--sample-every", "5",
+                               "--replications", "2", "--max-demand", "2", "--load", "2",
+                               "--out", str(tmp_path / "out"))
+        assert code == 0, err
+
     def test_negative_dump_state_arrivals_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "dump-state", "--topology",
                                  data_file("fig_example.json"), "--arrivals", "-5")

@@ -32,7 +32,7 @@ def chain4():
 class TestArrival:
     def test_empty_network_admits_at_zero(self, chain4):
         sim = make_sim(chain4)
-        conn = sim.handle_arrival(Demand(0, 0, 3, 2, 0.5, 1.0))
+        conn = sim.step_arrival(Demand(0, 0, 3, 2, 0.5, 1.0))
         assert conn is not None
         assert conn.range == SliceRange(0, 2)
         assert sim.total_requests == 1 and sim.blocked_requests == 0
@@ -49,44 +49,54 @@ class TestArrival:
         free = sim.state.free_counts()
         for lid in range(3):
             assert free[sim.routes[(lid, lid + 1)][0]] >= 2
-        assert sim.handle_arrival(Demand(0, 0, 3, 2, 0.0, 1.0)) is None
+        assert sim.step_arrival(Demand(0, 0, 3, 2, 0.0, 1.0)) is None
         assert sim.blocked_requests == 1
 
     def test_blocked_mutates_nothing(self, pair):
         sim = make_sim(pair)
-        sim.handle_arrival(Demand(0, 0, 1, 8, 0.0, 100.0))
+        sim.step_arrival(Demand(0, 0, 1, 8, 0.0, 100.0))
         occ_before = list(sim.state.occ)
         conns_before = set(sim.connections)
-        assert sim.handle_arrival(Demand(1, 0, 1, 1, 0.1, 1.0)) is None
+        heap_before = list(sim.queue.heap)
+        assert sim.step_arrival(Demand(1, 0, 1, 1, 0.1, 1.0)) is None
         assert sim.state.occ == occ_before
         assert set(sim.connections) == conns_before
+        assert sim.queue.heap == heap_before
+
+
+def too_wide(topology, demand_id, t):
+    """A demand that no route can hold: handling it at time t only releases
+    the connections due by then."""
+    return Demand(demand_id, 0, 1, topology.slice_count + 1, t, 1.0)
 
 
 class TestDeparture:
     def test_round_trip_restores_utilization(self, chain4):
         sim = make_sim(chain4)
         before = sim.state.utilization()
-        assert sim.handle_arrival(Demand(0, 0, 2, 3, 0.0, 2.0)) is not None
+        assert sim.step_arrival(Demand(0, 0, 2, 3, 0.0, 2.0)) is not None
         assert sim.state.utilization() > before
-        sim.handle_departure(0)
+        assert sim.step_arrival(too_wide(chain4, 1, 2.0)) is None
         assert sim.state.utilization() == before
+        assert not sim.connections and not sim.queue.heap
 
     def test_departures_leave_noncontiguous_holes(self, pair):
         # two departures free 2 slices that are not adjacent; a width-2
         # request on that link is then blocked
         sim = make_sim(pair)
-        for i in range(3):
-            sim.handle_arrival(Demand(i, 0, 1, 1, 0.0, 10.0))
-        sim.handle_arrival(Demand(3, 0, 1, 5, 0.0, 10.0))  # fill the rest
-        sim.handle_departure(0)
-        sim.handle_departure(2)
+        for i, holding in enumerate([1.0, 10.0, 1.0]):
+            sim.step_arrival(Demand(i, 0, 1, 1, 0.0, holding))
+        sim.step_arrival(Demand(3, 0, 1, 5, 0.0, 10.0))  # fill the rest
+        # 0 and 2 leave at 1.0, before the demand arriving then is routed
+        assert sim.step_arrival(Demand(4, 0, 1, 2, 1.0, 1.0)) is None
         assert sim.state.free_counts()[sim.routes[(0, 1)][0]] == 2
-        assert sim.handle_arrival(Demand(4, 0, 1, 2, 1.0, 1.0)) is None
+        assert sorted(sim.connections) == [1, 3]
 
     def test_unknown_id_hard_fault(self, pair):
         sim = make_sim(pair)
+        sim.queue.push(0.0, 999)  # a departure of no connection
         with pytest.raises(KeyError):
-            sim.handle_departure(999)
+            sim.run(1, sample_every=1)
 
     def test_arrival_at_departure_time_reuses_freed_slices(self, pair):
         # departures due at a demand's arrival time leave before it is routed
@@ -108,8 +118,10 @@ class TestInvariants:
             occupied = sum(bin(occ).count("1") for occ in sim.state.occ)
             assert occupied == sum(c.range.width * len(c.route)
                                    for c in sim.connections.values())
-        while sim.queue.heap:  # every queued id is a live connection, once
-            sim.handle_departure(sim.queue.pop()[1])
+        # releasing every departure: each queued id is a live connection,
+        # once (KeyError or SpectrumFault otherwise)
+        sim.step_arrival(too_wide(chain4, -1, math.inf))
+        assert not sim.queue.heap
         assert not sim.connections
         assert sim.state.occ == [0] * chain4.link_count
         assert sim.state.utilization() == 0.0
@@ -136,33 +148,6 @@ class TestInvariants:
             sim.run(300, sample_every=50)
             runs.append([(s.t, s.arrivals, s.report, s.br_tr) for s in sim.samples])
         assert runs[0] == runs[1]
-
-
-    def test_state_calls_countable_on_the_instance(self):
-        # the benchmark's counter check wraps allocate/release on the
-        # Simulation's own SpectrumState and reads .route and .range.width
-        sim = make_sim(load_topology(data_file("nsfnet.json")), seed=3,
-                       max_demand=16, load=80.0)
-        calls = {"allocate": 0, "release": 0}
-
-        def counting(name):
-            method = getattr(sim.state, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return method(*args)
-            return counted
-
-        for name in calls:
-            setattr(sim.state, name, counting(name))
-        sim.run(2000, sample_every=2001)
-        admitted = sim.total_requests - sim.blocked_requests
-        assert sim.total_requests == 2000 and 0 < sim.blocked_requests
-        assert calls["allocate"] == admitted
-        assert 0 < calls["release"]
-        assert admitted - calls["release"] == len(sim.connections)
-        busy = sum(occ.bit_count() for occ in sim.state.occ)
-        assert busy == sum(c.range.width * len(c.route) for c in sim.connections.values())
 
 
 class TestOracleEquivalence:
@@ -208,6 +193,32 @@ class TestRunners:
         sim = make_sim(chain4)
         with pytest.raises(ValueError):
             sim.run(0, sample_every=1)
+
+    @pytest.mark.parametrize("sample_every", [0, -3])
+    def test_sample_every_must_be_positive(self, chain4, sample_every):
+        sim = make_sim(chain4)
+        with pytest.raises(ValueError, match="sample_every"):
+            sim.run(10, sample_every=sample_every)
+        assert sim.total_requests == 0 and sim.gen.next_demand().id == 0
+
+    def test_split_runs_equal_one_run(self, chain4):
+        # 37 + 58 arrivals sampled every 10: samples at 10, 20, 30 of the
+        # first call and 10, ..., 50 of the second (47, ..., 87 overall)
+        whole, split = (make_sim(chain4, seed=6, load=30.0) for _ in range(2))
+        whole.run(37 + 58, sample_every=10)
+        first = split.run(37, sample_every=10)
+        second = split.run(58, sample_every=10)
+        assert [s.arrivals for s in first] == [10, 20, 30]
+        assert [s.arrivals for s in second] == [47, 57, 67, 77, 87]
+
+        def end_state(sim):
+            return (sim.state.occ, sim.total_requests, sim.blocked_requests,
+                    sim.queue.heap, sim.clock, list(sim._window),
+                    {i: (c.route, c.range) for i, c in sim.connections.items()},
+                    sim.gen.next_demand())
+
+        assert end_state(split) == end_state(whole)
+        assert 0 < split.blocked_requests and split.queue.heap
 
     def test_transient_shape(self, chain4):
         profile = DemandProfile.resolve(3, 5, load=10.0)
@@ -256,6 +267,25 @@ class TestRunners:
         utils = [s.report.utilization for s in res.samples]
         assert utils[0] == 0.0
         assert max(utils) >= 0.99
+
+    def test_scan_samples_its_stop_once(self):
+        # the stop is sampled by the loop when it falls on the interval, and
+        # by the scan otherwise, never twice
+        t = Topology("tri", 3, [(0, 1), (1, 2), (0, 2)], 16)
+        paths = build_beta_paths(t)
+        profile = DemandProfile.resolve(2, 9, load=5.0)
+
+        def sampled(sample_every):
+            res = run_utilization_scan(t, profile, paths, target=0.6,
+                                       sample_every=sample_every, max_arrivals=100_000)
+            assert res.reached_target
+            return [s.arrivals for s in res.samples]
+
+        stop = sampled(1)[-1]
+        assert sampled(1) == list(range(stop + 1))
+        assert sampled(stop) == [0, stop]
+        every = 7 if stop % 7 else 8
+        assert sampled(every) == list(range(0, stop, every)) + [stop]
 
     def test_clamp_events_summed_over_every_simulation(self):
         # single-slice demands on a 4-slice chain reach states below the

@@ -180,7 +180,16 @@ class TestBounds:
     def test_odd_slice_count(self):
         t = Topology("odd", 2, [(0, 1)], 7)
         ps = build_beta_paths(t)
-        assert compute_bounds(t, ps).alpha_min == pytest.approx(1 / 3)
+        # four free runs of one slice fit in 7 slices (1010101)
+        assert compute_bounds(t, ps).alpha_min == 1 / 4
+
+    @pytest.mark.parametrize("s", range(2, 10))
+    def test_alpha_bound_is_the_least_alpha_of_one_link(self, s):
+        t = Topology("one", 2, [(0, 1)], s)
+        least = min(compute_alpha(state_from_free(["".join(
+            "0" if (bits >> j) & 1 else "1" for j in range(s))]))
+            for bits in range((1 << s) - 1))  # every state with a free slice
+        assert compute_bounds(t, build_beta_paths(t)).alpha_min == least
 
     def test_one_slice_topology_rejected(self):
         # Topology accepts S=1 (the run-length kernel is checked on it),
@@ -258,6 +267,19 @@ class TestVfmNormalization:
         nvfm, avfm = normalize(b.vfm_min - 0.01, b)
         assert nvfm == 0.0 and avfm == 1.0
         assert raw_nvfm(b.vfm_min - 0.01, b) < 0
+
+    def test_bounds_without_range_read_no_fragmentation(self):
+        # two slices and one-hop trails only: alpha_min = beta_min = 1, so
+        # vfm_min = vfm_max and no state can be told from another
+        t = Topology("thin", 3, [(0, 1), (1, 2)], 2)
+        ps = build_beta_paths(t, requested_count=2)
+        b = compute_bounds(t, ps)
+        assert ps.hop_counts == [1, 1] and b.vfm_min == b.vfm_max
+        assert raw_nvfm(b.vfm_max, b) == 1.0
+        for rows in (["11", "11"], ["10", "01"], ["00", "01"], ["00", "00"]):
+            st = state_from_free(rows + rows)
+            rep = snapshot_report(st, ps, b)
+            assert (rep.nvfm, rep.avfm, rep.clamped) == (1.0, 0.0, False), rows
 
     def test_monotonicity(self):
         b = MetricBounds(0.25, 0.5, compute_vfm(0.25, 0.5))

@@ -150,16 +150,19 @@ def test_demand_stream_pinned(n, max_demand):
 @pytest.mark.parametrize("bound", [1, 2, 3, 14, 16, 320, 3_000_000_000,
                                    3 << 30, 1 << 31, 1 << 32])
 def test_below_matches_generator_integers(bound):
+    # two nodes: src is drawn below 2, dst below 1 (no draw), width - 1
+    # below `bound`; the kept half-word outlives the exponentials, which
+    # take whole words, and carries over into the next demand
     for seed in range(150):
-        gen = DemandGenerator(DemandProfile(1.0, 1.0, 1, seed), 2, replication=seed % 4)
+        gen = DemandGenerator(DemandProfile(1.0, 2.0, bound, seed), 2, replication=seed % 4)
         ref = np.random.Generator(np.random.Philox(key=[seed, seed % 4]))
-        # the draw pattern of next_demand: the kept half-word outlives the
-        # exponentials, which take whole words
-        for _ in range(20):
-            assert gen.rng.exponential(0.5) == ref.exponential(0.5)
-            got = [gen._below(bound) for _ in range(3)]
-            assert got == [int(ref.integers(0, bound)) for _ in range(3)], seed
-            assert gen.rng.exponential(2.0) == ref.exponential(2.0)
+        clock = 0.0
+        for demand_id in range(20):
+            clock += ref.exponential(0.5)
+            src = int(ref.integers(0, 2))
+            want = (demand_id, src, 1 - src, 1 + int(ref.integers(0, bound)), clock,
+                    ref.exponential(2.0))
+            assert next(gen.stream) == want, seed
 
 
 class TestEventQueue:
