@@ -19,8 +19,7 @@ import tempfile
 from . import __version__
 from .engine import (ESCALATE_EVERY, ESCALATE_FACTOR, Simulation, make_grid,
                      run_steady_sweep, run_transient, run_utilization_scan)
-from .metrics import (CSV_HEADER, METRICS, SUMMARY_METRICS, compute_bounds,
-                      report_csv_row, snapshot_report)
+from .metrics import CSV_HEADER, METRICS, SUMMARY_METRICS, compute_bounds, snapshot_report
 from .spectrum import SpectrumState
 from .topology import build_beta_paths, load_beta_paths, load_topology
 from .traffic import RNG_NAME, DemandProfile
@@ -161,8 +160,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_samples(path, samples) -> None:
+    # each row leaves out the last value, br_tr_win, as CSV_HEADER does
     lines = [CSV_HEADER]
-    lines += [report_csv_row(s.t, s.arrivals, s.report, s.br_tr) for s in samples]
+    lines += [f"{s.t:.6f},{s.arrivals}," + ",".join(f"{v:.6f}" for v in s.values()[:-1])
+              for s in samples]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -9,17 +9,21 @@ due at it), then takes the first range free on its route or is blocked.
 A sample saves the bitmaps and the counters; the saved states are scored
 SAMPLE_BATCH at a time by one `snapshot_reports` call, and whatever is
 still pending is scored before `run` or a runner returns. Runners below
-repeat replications with independent RNG streams and aggregate
-per-sample-point means with 99% Student-t confidence half-widths.
+repeat replications with independent RNG streams. A sample's values are
+`Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
+Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
+them: replications x points x metrics for a transient, samples x metrics
+per sweep window and replications x metrics per sweep cell.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
+
+import numpy as np
 
 # snapshot_report is not called here; bench/trace_layers.py and
 # bench/selftest.py look it up in this module by name
@@ -52,14 +56,17 @@ def t99(df: int) -> float:
     return z + left_sum(gk / df ** k for k, gk in enumerate(g, 1))
 
 
-def mean_ci99(values: list[float]) -> tuple[float, float]:
-    """Sample mean and 99% confidence half-width across replications."""
-    n = len(values)
-    m = left_sum(values) / n
+def mean_ci99(values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 99% confidence half-width over axis 0 (the replications) of
+    a float array. Both sums add left to right, as `left_sum` does:
+    np.add.accumulate is sequential along its axis."""
+    a = np.asarray(values, dtype=float)
+    n = len(a)
+    mean = np.add.accumulate(a, axis=0)[-1] / n
     if n < 2:
-        return m, 0.0
-    var = left_sum((v - m) ** 2 for v in values) / (n - 1)
-    return m, t99(n - 1) * math.sqrt(var / n)
+        return mean, np.zeros(np.shape(mean))
+    dev = a - mean
+    return mean, t99(n - 1) * np.sqrt(np.add.accumulate(dev * dev, axis=0)[-1] / (n - 1) / n)
 
 
 @dataclass(slots=True)
@@ -84,6 +91,10 @@ class Sample:
     report: FragmentationReport
     br_tr: float        # cumulative blocked/total
     br_tr_win: float    # over the trailing BR_WINDOW arrivals
+
+    def values(self) -> list[float]:
+        """This sample's values in SUMMARY_METRICS order."""
+        return [getattr(self.report, name) for name in METRICS] + [self.br_tr, self.br_tr_win]
 
 
 class Simulation:
@@ -206,17 +217,6 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
     return out
 
 
-def _values(s: Sample) -> list[float]:
-    """One sample's values in SUMMARY_METRICS order."""
-    return [getattr(s.report, name) for name in METRICS] + [s.br_tr, s.br_tr_win]
-
-
-def _summarise(rows: list[list[float]]) -> dict[str, tuple[float, float]]:
-    """(mean, ci99 half-width) per metric over replication rows in
-    SUMMARY_METRICS order."""
-    return {name: mean_ci99(list(col)) for name, col in zip(SUMMARY_METRICS, zip(*rows))}
-
-
 @dataclass
 class TransientResult:
     sample_arrivals: list[int]
@@ -230,12 +230,16 @@ def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet
                   arrivals: int, sample_every: int, replications: int) -> TransientResult:
     """Evolution from an empty network until `arrivals` requests, averaged
     across replications at fixed arrival counts."""
+    if not 1 <= sample_every <= arrivals:
+        raise ValueError(f"arrivals ({arrivals}) must be >= sample_every "
+                         f"({sample_every}) >= 1, or the run takes no sample")
     [(samples, clamps)] = _replicate(topology, paths, [profile], replications,
                                      lambda sim: sim.run(arrivals, sample_every))
-    points = [s.arrivals for s in samples[0]]
-    stats = [_summarise([_values(rep[i]) for rep in samples]) for i in range(len(points))]
-    series = {name: [st[name] for st in stats] for name in SUMMARY_METRICS}
-    return TransientResult(points, series, samples, clamps)
+    mean, hw = mean_ci99([[s.values() for s in rep] for rep in samples])
+    # (points x metrics) -> metric -> list over points of (mean, half-width)
+    series = {name: list(zip(m, h)) for name, m, h
+              in zip(SUMMARY_METRICS, mean.T.tolist(), hw.T.tolist())}
+    return TransientResult([s.arrivals for s in samples[0]], series, samples, clamps)
 
 
 @dataclass
@@ -272,14 +276,15 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
         sim._advance(islice(sim.gen.stream, warmup), 0)  # the warm-up, unsampled
         blocked0 = sim.blocked_requests
         sim.run(measure, sample_every)
-        means = [left_sum(col) / len(col) for col in zip(*map(_values, sim.samples))]
+        means = mean_ci99([s.values() for s in sim.samples])[0].tolist()
         # br_tr is the blocking ratio of the window, not a mean of cumulative ratios
         means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
         return means
 
     cells = _replicate(topology, paths, profiles, replications, window_means)
-    return [SweepCell(p, _summarise(rows), clamps)
-            for p, (rows, clamps) in zip(profiles, cells)]
+    stats = [zip(*(x.tolist() for x in mean_ci99(rows))) for rows, _ in cells]
+    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), clamps)
+            for p, st, (_, clamps) in zip(profiles, stats, cells)]
 
 
 # escalation of the offered load in run_utilization_scan
@@ -296,16 +301,15 @@ class ScanResult:
 
 
 def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
-                         target: float, sample_every: int, max_arrivals: int,
-                         escalate_every: int = ESCALATE_EVERY,
-                         escalate_factor: float = ESCALATE_FACTOR) -> ScanResult:
+                         target: float, sample_every: int, max_arrivals: int) -> ScanResult:
     """Drive the network from empty toward full occupancy, sampling metrics
     across the whole utilization range.
 
-    The offered load is escalated geometrically so utilization keeps rising
-    through churn; once arrivals vastly outpace departures the spectrum
-    fills toward 1.0. If the target utilization is not reached within the
-    arrival budget the result carries a warning flag."""
+    The offered load is escalated geometrically, by ESCALATE_FACTOR every
+    ESCALATE_EVERY arrivals, so utilization keeps rising through churn; once
+    arrivals vastly outpace departures the spectrum fills toward 1.0. If the
+    target utilization is not reached within the arrival budget the result
+    carries a warning flag."""
     if not 0 < target <= 1:
         raise ValueError(f"target must be in (0, 1], got {target}")
     if max_arrivals < 1:
@@ -328,9 +332,9 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
                 if demand[0] in sim.connections:
                     util = sim.state.utilization()
                     max_util = max(max_util, util)
-                if n % escalate_every == 0:
+                if n % ESCALATE_EVERY == 0:
                     p = sim.gen.profile
-                    sim.gen.profile = DemandProfile(p.arrival_rate_per_node * escalate_factor,
+                    sim.gen.profile = DemandProfile(p.arrival_rate_per_node * ESCALATE_FACTOR,
                                                     p.mean_holding, p.max_demand, p.seed)
                 if util >= target:
                     return

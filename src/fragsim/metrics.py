@@ -70,11 +70,6 @@ SUMMARY_METRICS = METRICS + ("br_tr", "br_tr_win")
 CSV_HEADER = ",".join(("t", "arrivals") + SUMMARY_METRICS[:-1])
 
 
-def report_csv_row(t: float, arrivals: int, rep: FragmentationReport, br_tr: float) -> str:
-    vals = [getattr(rep, name) for name in METRICS] + [br_tr]
-    return f"{t:.6f},{arrivals}," + ",".join(f"{v:.6f}" for v in vals)
-
-
 # the trail index of no trail, for the link-only metrics
 _NO_TRAILS = np.zeros((0, 0), dtype=np.intp)
 

@@ -122,11 +122,10 @@ class SpectrumState:
     # --- debug dump format: one `linkid: 0101...` line per link (0 = free) ---
 
     def dump(self) -> str:
-        lines = []
-        for lid in range(self.link_count):
-            bits = "".join(str((self.occ[lid] >> j) & 1) for j in range(self.slice_count))
-            lines.append(f"{lid}: {bits}")
-        return "\n".join(lines) + "\n"
+        # binary is written highest bit first, the dump slice 0 first
+        width = f"0{self.slice_count}b"
+        return "\n".join(f"{lid}: {format(occ, width)[::-1]}"
+                         for lid, occ in enumerate(self.occ)) + "\n"
 
     @classmethod
     def parse(cls, text: str, link_count: int, slice_count: int) -> "SpectrumState":
@@ -144,11 +143,8 @@ class SpectrumState:
             if len(bits) != slice_count or set(bits) - {"0", "1"}:
                 raise ValueError(f"link {lid}: bitmap must be {slice_count} chars of 0/1")
             seen.add(lid)
-            occ = 0
-            for j, ch in enumerate(bits):
-                if ch == "1":
-                    occ |= 1 << j
-            state.occ[lid] = occ
+            # checked above: int() would also take "_", "+" and "-"
+            state.occ[lid] = int(bits[::-1], 2)
         if len(seen) != link_count:
             raise ValueError(f"state dump covers {len(seen)} of {link_count} links")
         return state

@@ -436,6 +436,16 @@ class TestExperiments:
         assert code == 2
         assert "measure (50)" in err and "sample_every (100)" in err
 
+    def test_transient_arrivals_below_sample_every_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "transient",
+                               "--topology", data_file("fig_example.json"),
+                               "--load", "3", "--max-demand", "2",
+                               "--arrivals", "10", "--sample-every", "25",
+                               "--replications", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert "arrivals (10)" in err and "sample_every (25)" in err
+        assert not (tmp_path / "transient_summary.csv").exists()
+
     def test_sweep_without_warmup(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep",
                              "--topology", data_file("fig_example.json"),

@@ -6,6 +6,7 @@ import pytest
 from conftest import data_file
 from fragsim.engine import (Simulation, make_grid, mean_ci99, run_steady_sweep,
                             run_transient, run_utilization_scan, t99)
+from fragsim.metrics import left_sum
 from fragsim.spectrum import SliceRange
 from fragsim.topology import (Topology, all_pairs_routes, build_beta_paths,
                               load_topology)
@@ -187,6 +188,30 @@ class TestStats:
     def test_single_value_no_interval(self):
         assert mean_ci99([5.0]) == (5.0, 0.0)
 
+    @pytest.mark.parametrize("replications", [1, 2, 3, 10])
+    def test_array_equals_scalar_left_to_right(self, replications):
+        # each deviation is squared as a product: x ** 2 calls the C
+        # library's pow, which on glibc misrounds about one random square
+        # in a thousand
+        def scalar(col):
+            n = len(col)
+            m = left_sum(col) / n
+            if n < 2:
+                return m, 0.0
+            ss = left_sum((v - m) * (v - m) for v in col)
+            return m, t99(n - 1) * math.sqrt(ss / (n - 1) / n)
+
+        rng = random.Random(replications)
+        points, metrics = 7, 11
+        values = [[[rng.random() * 10.0 ** rng.randint(-3, 3) for _ in range(metrics)]
+                   for _ in range(points)] for _ in range(replications)]
+        mean, hw = mean_ci99(values)
+        assert mean.shape == hw.shape == (points, metrics)
+        for i in range(points):
+            for j in range(metrics):
+                m, h = scalar([rep[i][j] for rep in values])
+                assert (mean[i, j].hex(), hw[i, j].hex()) == (m.hex(), h.hex()), (i, j)
+
 
 class TestRunners:
     def test_arrivals_must_be_positive(self, chain4):
@@ -261,8 +286,7 @@ class TestRunners:
         paths = build_beta_paths(t)
         profile = DemandProfile.resolve(2, 9, load=5.0)
         res = run_utilization_scan(t, profile, paths, target=0.99,
-                                   sample_every=50, escalate_every=500,
-                                   max_arrivals=100_000)
+                                   sample_every=50, max_arrivals=100_000)
         assert res.reached_target
         utils = [s.report.utilization for s in res.samples]
         assert utils[0] == 0.0

@@ -338,6 +338,22 @@ class TestDump:
         assert again.occ == st.occ
         assert again.free_counts() == [5, 8]
 
+    @pytest.mark.parametrize("slices", [7, 320])
+    def test_round_trip_random(self, slices):
+        rng = random.Random(slices)
+        st = SpectrumState(3, slices)
+        st.occ = [0, rng.getrandbits(slices), (1 << slices) - 1]
+        text = st.dump()
+        for lid, line in enumerate(text.splitlines()):
+            assert line == f"{lid}: " + "".join(str(st.occ[lid] >> j & 1)
+                                                for j in range(slices))
+        assert SpectrumState.parse(text, 3, slices).occ == st.occ
+
+    @pytest.mark.parametrize("bits", ["0_101010", "+0101010", "-0101010"])
+    def test_parse_rejects_what_int_would_take(self, bits):
+        with pytest.raises(ValueError, match="bitmap"):
+            SpectrumState.parse(f"0: {bits}\n1: 01010101\n", 2, 8)
+
     def test_parse_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             SpectrumState.parse("0: 0101\n1: 01010101\n", 2, 8)
