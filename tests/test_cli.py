@@ -446,6 +446,27 @@ class TestExperiments:
         assert "arrivals (10)" in err and "sample_every (25)" in err
         assert not (tmp_path / "transient_summary.csv").exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("transient", ["--load", "nan"]),
+        ("transient", ["--load", "inf"]),
+        ("transient", ["--lambda", "nan", "--holding", "1"]),
+        ("transient", ["--load", "4", "--holding", "inf"]),
+        ("transient", ["--load", "1e-320"]),
+        ("sweep", ["--loads", "3,nan"]),
+        ("sweep", ["--loads=-inf"]),
+        ("sweep", ["--lambda", "inf", "--holding", "1"]),
+        ("sweep", ["--lambda", "2", "--holding", "nan"]),
+    ])
+    def test_non_finite_traffic_exits_2(self, capsys, tmp_path, command, flags):
+        code, _, err = run_cli(capsys, command,
+                               "--topology", data_file("fig_example.json"),
+                               "--max-demand", "2", "--max-demands", "2",
+                               "--arrivals", "50", "--warmup", "0", "--measure", "100",
+                               *flags, "--out", str(tmp_path))
+        assert code == 2
+        assert "finite and positive" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_without_warmup(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep",
                              "--topology", data_file("fig_example.json"),

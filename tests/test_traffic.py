@@ -1,10 +1,13 @@
 import hashlib
 import math
 import random
+from collections import Counter
+from operator import length_hint
 
 import numpy as np
 import pytest
 
+from fragsim import traffic
 from fragsim.traffic import DemandGenerator, DemandProfile, EventQueue
 
 
@@ -41,6 +44,23 @@ class TestProfile:
         with pytest.raises(ValueError, match="max_demand"):
             DemandProfile(1.0, 1.0, 2**32 + 1, 1)
         assert DemandProfile(1.0, 1.0, 2**32, 1).max_demand == 2**32
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, bad):
+        for args in [(bad, 1.0), (1.0, bad)]:
+            with pytest.raises(ValueError, match="finite"):
+                DemandProfile(*args, 16, 1)
+        for key in ("arrival_rate", "mean_holding", "load"):
+            with pytest.raises(ValueError, match="finite"):
+                DemandProfile.resolve(16, 1, **{"load": 2.0, "mean_holding": 1.0, key: bad})
+        with pytest.raises(ValueError, match="finite"):  # a quotient overflows
+            DemandProfile.resolve(16, 1, load=1e300, mean_holding=1e-300)
+
+    @pytest.mark.parametrize("rate,holding", [(1e-320, 1.0), (1e200, 1e200), (1e-200, 1e-200)])
+    def test_rate_and_load_must_stay_finite(self, rate, holding):
+        # 1/rate, the mean gap, or the load overflows or underflows
+        with pytest.raises(ValueError, match="finite"):
+            DemandProfile(rate, holding, 16, 1)
 
 
 class TestGenerator:
@@ -133,15 +153,78 @@ STREAM_PINS = {
 }
 
 
-@pytest.mark.parametrize("n,max_demand", STREAM_PINS)
-def test_demand_stream_pinned(n, max_demand):
+def stream_digest(n, max_demand):
     gen = DemandGenerator(DemandProfile(3.0, 1.5, max_demand, 5), n, replication=2)
     h = hashlib.sha256()
     for _ in range(2000):
         d = gen.next_demand()
         h.update(repr((d.src, d.dst, d.width, d.arrival_time.hex(),
                        d.holding_time.hex())).encode())
-    assert h.hexdigest() == STREAM_PINS[(n, max_demand)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,max_demand", STREAM_PINS)
+def test_demand_stream_pinned(n, max_demand):
+    assert stream_digest(n, max_demand) == STREAM_PINS[(n, max_demand)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_stream_pins_hold_for_any_word_block(monkeypatch, block):
+    # with one word per block, every slow path's extra word is in the next
+    # block; 3 and 7 also split the kept half-words and the exponentials
+    calls = []
+    unlikely = traffic.standard_exponential_unlikely
+    monkeypatch.setattr(traffic, "WORD_BLOCK", block)
+    monkeypatch.setattr(traffic, "standard_exponential_unlikely",
+                        lambda *a: calls.append(a[2]) or unlikely(*a))
+    for n, max_demand in STREAM_PINS:
+        assert stream_digest(n, max_demand) == STREAM_PINS[(n, max_demand)]
+    assert 0 in calls and len(set(calls)) > 1  # the tail and some wedges
+
+
+@pytest.mark.parametrize("key", [(0, 0), (7, 3), (2**64 - 1, 2**63)])
+def test_ziggurat_matches_standard_exponential(key):
+    # the likely path as `_demands` writes it out, the rest by the module's
+    # function, against numpy's own draws bit for bit
+    draws = 200_000
+    want = np.random.Generator(np.random.Philox(key=list(key))).standard_exponential(draws)
+    words = iter(np.random.Philox(key=list(key)).random_raw(draws + draws // 10).tolist())
+    word = words.__next__
+    got, paths = [], Counter()
+    for _ in range(draws):
+        w = word()
+        ri, idx = w >> 11, (w >> 3) & 0xFF
+        if ri < traffic._KE[idx]:
+            got.append(ri * traffic._WE[idx])
+            paths["rectangle"] += 1
+            continue
+        left = length_hint(words)
+        got.append(traffic.standard_exponential_unlikely(word, ri, idx))
+        paths["tail" if idx == 0 else
+              "wedge accepted" if left - length_hint(words) == 1 else "wedge rejected"] += 1
+    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+    assert set(paths) == {"rectangle", "tail", "wedge accepted", "wedge rejected"}
+
+
+def test_scale_changes_between_demands():
+    # the scan raises the arrival rate mid-stream; the next demand's times
+    # take the new scales, as Generator.exponential would give them (the
+    # rates cycle, so that the clock keeps moving)
+    for seed in range(3):
+        profile = DemandProfile(2.0, 1.5, 5, seed)
+        gen = DemandGenerator(profile, 3, replication=1)
+        ref = np.random.Generator(np.random.Philox(key=[seed, 1]))
+        clock = 0.0
+        for demand_id in range(3000):
+            if demand_id % 7 == 6:
+                k = demand_id // 7 % 5
+                profile = DemandProfile(2.0 * 1.5**k, 1.5 * 0.9**k, 5, seed)
+                gen.profile = profile
+            clock += ref.exponential(1.0 / (3 * profile.arrival_rate_per_node))
+            src, dst, width = (int(ref.integers(0, b)) for b in (3, 2, 5))
+            want = (demand_id, src, dst + (dst >= src), width + 1, clock,
+                    ref.exponential(profile.mean_holding))
+            assert next(gen.stream) == want, (seed, demand_id)
 
 
 # 3 << 30 and 1 << 31 make numpy's rejection test see a low part equal to
