@@ -1,11 +1,11 @@
 """Command-line surface.
 
-Commands: snapshot, transient, sweep, scan, dump-state, make-paths.
+The commands are named once, in `COMMANDS`; one parser reads the command,
+the state file of `snapshot` and every option, before or after the command.
 Run parameters come from a JSON config file with individual flag overrides
 (flags > file > defaults). Every experiment directory gets a metadata.json
 sufficient to re-execute the run exactly. Exit codes: 0 ok, 2 config or
-validation error, 3 I/O error.
-"""
+validation error, 3 I/O error."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .engine import (ESCALATE_EVERY, ESCALATE_FACTOR, Simulation, make_grid,
@@ -47,8 +46,7 @@ OPTIONS = (
     ("holding", float, None, "mean holding time"),
     ("max_demand", int, 16, None),
     ("arrivals", int, 5000, None),
-    ("sample_every", int, None, "arrivals between samples "
-                                "(default: transient 25, sweep 100, scan 200)"),
+    ("sample_every", int, None, "arrivals between samples (default: by command, below)"),
     ("warmup", int, 20000, None),
     ("measure", int, 30000, None),
     ("loads", _floats, [40.0, 60.0, 80.0, 100.0], "comma-separated loads"),
@@ -57,13 +55,6 @@ OPTIONS = (
     ("scan_max_arrivals", int, 500000, None),
 )
 DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
-
-# sampling interval in arrivals when neither flag nor config file sets one
-SAMPLE_EVERY = {"transient": 25, "sweep": 100, "scan": 200}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse(key: str, value, source: str):
@@ -74,7 +65,7 @@ def _parse(key: str, value, source: str):
     try:
         return parser(text)
     except ValueError:
-        raise ConfigError(f"{source}: invalid {key} value {value!r}") from None
+        raise ValueError(f"{source}: invalid {key} value {value!r}") from None
 
 
 def _resolve_config(args) -> dict:
@@ -90,12 +81,12 @@ def _resolve_config(args) -> dict:
             try:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad config file: {exc}") from exc
+                raise ValueError(f"bad config file: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         explicit = {k: _parse(k, v, "config file") for k, v in file_cfg.items()
                     if v is not None}
     explicit.update((k, getattr(args, k)) for k in DEFAULTS
@@ -106,13 +97,13 @@ def _resolve_config(args) -> dict:
         for key in ("load", "loads"):
             cfg[key] = explicit.get(key)
     if not cfg["topology"]:
-        raise ConfigError("a topology file is required")
+        raise ValueError("a topology file is required")
     if cfg["path_count"] is not None and cfg["path_count"] < 1:
-        raise ConfigError(f"path_count must be >= 1, got {cfg['path_count']}")
+        raise ValueError(f"path_count must be >= 1, got {cfg['path_count']}")
     if not 0 < cfg["scan_target"] <= 1:
-        raise ConfigError(f"scan_target must be in (0, 1], got {cfg['scan_target']}")
+        raise ValueError(f"scan_target must be in (0, 1], got {cfg['scan_target']}")
     if cfg["scan_max_arrivals"] < 1:
-        raise ConfigError(f"scan_max_arrivals must be >= 1, got {cfg['scan_max_arrivals']}")
+        raise ValueError(f"scan_max_arrivals must be >= 1, got {cfg['scan_max_arrivals']}")
     return cfg
 
 
@@ -131,19 +122,14 @@ def _load_inputs(cfg):
     return topo, _build_paths(cfg, topo)
 
 
-def _experiment(args):
-    """Shared set-up of transient, sweep and scan: the resolved config with
-    the command's effective sample interval, the inputs and the output
-    directory."""
-    cfg = _resolve_config(args)
-    if cfg["sample_every"] is None:
-        cfg["sample_every"] = SAMPLE_EVERY[args.command]
+def _experiment(cfg):
+    """Shared set-up of transient, sweep and scan: inputs and output directory."""
     if cfg["sample_every"] < 1:
-        raise ConfigError(f"sample_every must be >= 1, got {cfg['sample_every']}")
+        raise ValueError(f"sample_every must be >= 1, got {cfg['sample_every']}")
     topo, paths = _load_inputs(cfg)
     out = cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
-    return cfg, topo, paths, out
+    return topo, paths, out
 
 
 def _profile(cfg) -> DemandProfile:
@@ -152,11 +138,17 @@ def _profile(cfg) -> DemandProfile:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write a file whole or not at all, through a temporary file beside it
+    that open() creates, so the mode follows the umask; its name holds the pid."""
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_samples(path, samples) -> None:
@@ -181,10 +173,9 @@ def _write_metadata(cfg, out_dir, extra):
                   json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_snapshot(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_snapshot(cfg, state_file) -> int:
     topo, paths = _load_inputs(cfg)
-    with open(args.state) as fh:
+    with open(state_file) as fh:
         state = SpectrumState.parse(fh.read(), topo.link_count, topo.slice_count)
     bounds = compute_bounds(topo, paths)
     rep = snapshot_report(state, paths, bounds)
@@ -195,10 +186,9 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
-def cmd_dump_state(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_dump_state(cfg, _state_file) -> int:
     if cfg["arrivals"] < 0:
-        raise ConfigError(f"arrivals must be >= 0, got {cfg['arrivals']}")
+        raise ValueError(f"arrivals must be >= 0, got {cfg['arrivals']}")
     topo, paths = _load_inputs(cfg)
     sim = Simulation(topo, _profile(cfg), paths)
     if cfg["arrivals"] > 0:
@@ -207,8 +197,7 @@ def cmd_dump_state(args) -> int:
     return 0
 
 
-def cmd_make_paths(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_make_paths(cfg, _state_file) -> int:
     paths = _build_paths(cfg, load_topology(cfg["topology"]))
     text = json.dumps({"paths": paths.node_paths}, indent=2) + "\n"
     if cfg["out"]:
@@ -218,8 +207,8 @@ def cmd_make_paths(args) -> int:
     return 0
 
 
-def cmd_transient(args) -> int:
-    cfg, topo, paths, out = _experiment(args)
+def cmd_transient(cfg, _state_file) -> int:
+    topo, paths, out = _experiment(cfg)
     res = run_transient(topo, _profile(cfg), paths, cfg["arrivals"],
                         cfg["sample_every"], cfg["replications"])
     for r, samples in enumerate(res.replication_samples):
@@ -235,8 +224,8 @@ def cmd_transient(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg, topo, paths, out = _experiment(args)
+def cmd_sweep(cfg, _state_file) -> int:
+    topo, paths, out = _experiment(cfg)
     grid = make_grid(cfg["loads"], cfg["max_demands"], cfg["seed"],
                      cfg["lambda"], cfg["holding"])
     cells = run_steady_sweep(topo, grid, paths, cfg["warmup"], cfg["measure"],
@@ -253,8 +242,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_scan(args) -> int:
-    cfg, topo, paths, out = _experiment(args)
+def cmd_scan(cfg, _state_file) -> int:
+    topo, paths, out = _experiment(cfg)
     res = run_utilization_scan(topo, _profile(cfg), paths,
                                target=cfg["scan_target"],
                                sample_every=cfg["sample_every"],
@@ -272,35 +261,46 @@ def cmd_scan(args) -> int:
     return 0
 
 
+# name: (function, help, sample interval when neither flag nor config file sets one)
+COMMANDS = {
+    "snapshot": (cmd_snapshot, "compute metrics for a state dump", None),
+    "transient": (cmd_transient, "transient-trace experiment", 25),
+    "sweep": (cmd_sweep, "steady-state load sweep", 100),
+    "scan": (cmd_scan, "utilization scan to near-full spectrum", 200),
+    "dump-state": (cmd_dump_state, "run a short simulation and print the bitmap state", None),
+    "make-paths": (cmd_make_paths, "emit the computed beta-path cover", None),
+}
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="fragsim",
-                                 description="Spectrum fragmentation metrics and "
-                                             "dynamic-traffic simulation for EONs")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
+    ap = argparse.ArgumentParser(
+        prog="fragsim", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Spectrum fragmentation metrics and dynamic-traffic simulation for EONs",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12}{help_}" + (f" (sample every {every})" if every else "")
+            for name, (_, help_, every) in COMMANDS.items()))
+    ap.add_argument("command", choices=COMMANDS, metavar="command", help="see below")
+    ap.add_argument("state", nargs="?", help="state dump file (snapshot only)")
+    ap.add_argument("--config", help="JSON config file")
     for key, parser, _, help_ in OPTIONS:
-        common.add_argument("--" + key.replace("_", "-"), dest=key, type=parser,
-                            help=help_)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, help_ in [
-            ("snapshot", cmd_snapshot, "compute metrics for a state dump"),
-            ("transient", cmd_transient, "transient-trace experiment"),
-            ("sweep", cmd_sweep, "steady-state load sweep"),
-            ("scan", cmd_scan, "utilization scan to near-full spectrum"),
-            ("dump-state", cmd_dump_state, "run a short simulation and print the bitmap state"),
-            ("make-paths", cmd_make_paths, "emit the computed beta-path cover")]:
-        p = sub.add_parser(name, help=help_, parents=[common])
-        if fn is cmd_snapshot:
-            p.add_argument("state", help="state dump file")
-        p.set_defaults(func=fn)
+        ap.add_argument("--" + key.replace("_", "-"), dest=key, type=parser, help=help_)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    # intermixed: the state file may follow the options
+    args = ap.parse_intermixed_args(argv)
+    fn, _, sample_every = COMMANDS[args.command]
+    if (args.state is None) == (args.command == "snapshot"):
+        ap.error("the following arguments are required: state" if args.state is None
+                 else f"unrecognized arguments: {args.state}")
     try:
-        return args.func(args)
-    except ValueError as exc:  # ConfigError, TopologyError and bad values
+        cfg = _resolve_config(args)
+        if cfg["sample_every"] is None:
+            cfg["sample_every"] = sample_every
+        return fn(cfg, args.state)
+    except ValueError as exc:  # TopologyError and bad values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -323,9 +323,6 @@ def snapshot_reports(occupancies: list[list[int]], slice_count: int, paths: Beta
 
 def _report(alpha: float | None, beta: float | None, lefm: float | None, util: float,
             el: int, bounds: MetricBounds) -> FragmentationReport:
-    if alpha is None and beta is None:
-        return FragmentationReport(1.0, 1.0, bounds.vfm_max, 1.0, 0.0, 0.0, 0.0,
-                                   0.0, util, el)
     alpha = 1.0 if alpha is None else alpha
     beta = 1.0 if beta is None else beta
     vfm = compute_vfm(alpha, beta)

@@ -1,10 +1,11 @@
 """Per-link slice occupancy bitmaps and first-fit allocation.
 
 Each link's spectrum is one Python integer used as a bitmask (bit j set =
-slice j busy), and these bitmaps are the only spectrum state: free counts
-and utilization are derived from them when asked for, so nothing is kept in
-step by hand. Word-parallel scans below are bit-exact with a naive per-bit
-loop; the test suite checks that against an independent oracle.
+slice j busy), and these bitmaps are the only spectrum state: a link's free
+count is `slice_count - occ.bit_count()`, and utilization is derived from
+them when asked for, so nothing is kept in step by hand. Word-parallel
+scans below are bit-exact with a naive per-bit loop; the test suite checks
+that against an independent oracle.
 
 First-fit ORs the route's bitmaps into one, complements it once, and finds
 the windows of `width` free slices with O(log width) shift-ANDs: doubling
@@ -43,11 +44,6 @@ class SpectrumState:
         self.slice_count = slice_count
         self._full = (1 << slice_count) - 1
         self.occ = [0] * link_count
-
-    def free_counts(self) -> list[int]:
-        """Number of free slices on each link."""
-        s = self.slice_count
-        return [s - occ.bit_count() for occ in self.occ]
 
     def max_contiguous_free(self, link: int) -> int:
         """Length of the longest run of free slices on one link.

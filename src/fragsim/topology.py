@@ -53,6 +53,9 @@ class Topology:
             if a == b:
                 raise TopologyError(f"fiber {k}: self loop")
             self.links += [Link(2 * k, a, b), Link(2 * k + 1, b, a)]
+        # a connected graph has at most fibers + 1 nodes: checked before any per-node list
+        if self.node_count > len(self.fibers) + 1:
+            raise TopologyError("graph is not connected")
         self.adjacency = [[] for _ in range(self.node_count)]
         for ln in self.links:
             self.adjacency[ln.src].append(ln.id)

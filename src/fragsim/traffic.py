@@ -57,6 +57,8 @@ class DemandProfile:
                              f"positive, got rate {rate!r} and holding time {holding!r}")
         if not 1 <= self.max_demand <= 1 << 32:
             raise ValueError(f"max_demand must be in [1, 2**32], got {self.max_demand}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def load(self) -> float:
@@ -121,8 +123,9 @@ class DemandGenerator:
         if node_count < 2:
             raise ValueError("need at least 2 nodes")
         self.profile = profile
-        mask = (1 << 64) - 1
-        self.bit_generator = np.random.Philox(key=[profile.seed & mask, replication & mask])
+        # a list mixing an int above 2**63 - 1 with a small one would turn float64
+        key = np.array([profile.seed, replication], dtype=np.uint64)
+        self.bit_generator = np.random.Philox(key=key)
         self.stream = self._demands(node_count)
 
     def _demands(self, n: int) -> Iterator[tuple[int, int, int, int, float, float]]:

@@ -12,6 +12,11 @@ def data_file(name):
     return os.path.join(DATA, name)
 
 
+def free_counts(state):
+    """Number of free slices on each link of a SpectrumState."""
+    return [state.slice_count - occ.bit_count() for occ in state.occ]
+
+
 @pytest.fixture
 def triangle():
     return Topology("triangle", 3, [(0, 1), (1, 2), (0, 2)], 8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ import pytest
 
 import fragsim
 from conftest import data_file, write_topology
-from fragsim.cli import main
+from fragsim.cli import COMMANDS, main
 from fragsim.metrics import CSV_HEADER
 from fragsim.topology import build_beta_paths, load_beta_paths, load_topology
+from test_golden_outputs import RUNS
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,16 @@ class TestSnapshot:
                                "--replications", "2", "--max-demand", "2", "--load", "2",
                                "--out", str(tmp_path / "out"))
         assert code == 0, err
+
+    def test_huge_node_count_exits_2_at_once(self, tmp_path):
+        # a connected graph has at most one node more than it has fibers; the
+        # limit on the address space keeps a per-node allocation from running
+        topo = write_topology(tmp_path, "huge", 10**9, [[0, 1]], 8)
+        proc = subprocess.run([sys.executable, "-c", HUGE_NODES, topo], env=env_with_src(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split()[:1] == ["2"], proc.stderr
+        assert float(proc.stdout.split()[1]) < 0.5
+        assert "not connected" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_negative_dump_state_arrivals_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "dump-state", "--topology",
@@ -229,12 +241,102 @@ class TestConfig:
         assert (tmp_path / "a" / "sweep.csv").read_text() == \
             (tmp_path / "b" / "sweep.csv").read_text()
 
+    @pytest.mark.filterwarnings("error")
+    def test_seeds_span_64_bits(self, capsys):
+        # seeds at and above 2**63 used to alias each other through a float key
+        dumps = set()
+        for seed in [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]:
+            code, out, err = run_cli(capsys, "dump-state", "--topology",
+                                     data_file("net_a.json"), "--arrivals", "60",
+                                     "--seed", str(seed))
+            assert code == 0 and err == ""
+            dumps.add(out)
+        assert len(dumps) == 5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 + 3)])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "dump-state", "--topology",
+                                 data_file("fig_example.json"), "--arrivals", "10",
+                                 "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be in [0, 2**64)" in err
+
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("FRAGSIM_SEED", "x")
         code, _, err = run_cli(capsys, "dump-state", "--topology",
                                data_file("fig_example.json"), "--arrivals", "0")
         assert code == 2
         assert "FRAGSIM_SEED" in err
+
+
+class TestParser:
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert set(COMMANDS) == {"snapshot", "transient", "sweep", "scan", "dump-state",
+                                 "make-paths"}
+        for name, (_, help_, _) in COMMANDS.items():
+            assert f"  {name:<12}{help_}" in out
+        assert "--scan-max-arrivals" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["snapshot"], "required: state"),
+        (["transient", "state.txt"], "unrecognized arguments: state.txt"),
+        (["dump-state", "state.txt"], "unrecognized arguments: state.txt"),
+        (["nonsense"], "invalid choice"),
+        ([], "required: command"),
+    ])
+    def test_bad_positionals_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--topology", data_file("fig_example.json")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_options_before_the_command(self, capsys, tmp_path):
+        argv, digests = RUNS["transient"]
+        assert argv[0] == "transient"
+        assert main(argv[1:] + ["--out", str(tmp_path), "transient"]) == 0
+        capsys.readouterr()
+        for fname, want in digests.items():
+            assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == want
+
+    def test_state_file_after_the_options(self, capsys):
+        code, out, _ = run_cli(capsys, "snapshot", "--topology", data_file("fig_example.json"),
+                               data_file("fig_example_state.txt"))
+        assert code == 0 and out.startswith("utilization 0.500000")
+
+
+class TestOutputFiles:
+    def test_mode_follows_umask(self, capsys, tmp_path):
+        old = os.umask(0o022)
+        try:
+            (tmp_path / "plain").write_text("")
+            assert run_cli(capsys, "transient", "--topology", data_file("fig_example.json"),
+                           "--load", "3", "--max-demand", "2", "--arrivals", "50",
+                           "--replications", "2", "--out", str(tmp_path))[0] == 0
+            assert run_cli(capsys, "make-paths", "--topology", data_file("fig_example.json"),
+                           "--out", str(tmp_path / "paths.json"))[0] == 0
+        finally:
+            os.umask(old)
+        want = (tmp_path / "plain").stat().st_mode
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["metadata.json", "paths.json", "plain", "transient_rep0.csv",
+                           "transient_rep1.csv", "transient_summary.csv"]
+        for name in written:
+            assert (tmp_path / name).stat().st_mode == want, name
+
+    def test_failed_write_leaves_no_temporary_file(self, capsys, tmp_path):
+        (tmp_path / "cover").mkdir()
+        code, out, err = run_cli(capsys, "make-paths", "--topology",
+                                 data_file("fig_example.json"),
+                                 "--out", str(tmp_path / "cover"))
+        assert code == 3 and out == ""
+        assert "i/o error" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cover"]
+        assert list((tmp_path / "cover").iterdir()) == []
 
 
 class TestMakePaths:
@@ -514,6 +616,21 @@ class TestExperiments:
         assert "sample_every" in err
 
 
+def env_with_src():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fragsim.__file__)))
+
+
+# Prints dump-state's exit code and its run time on a topology file, with the
+# address space capped at 1 GiB once the imports are done.
+HUGE_NODES = """
+import resource, sys, time
+from fragsim.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+t = time.perf_counter()
+code = main(["dump-state", "--topology", sys.argv[1], "--arrivals", "0"])
+print(code, time.perf_counter() - t)
+"""
+
 # Run with `python -O`, where assert statements are stripped; prints whether
 # each invariant check still fires.
 UNDER_O = """
@@ -540,8 +657,7 @@ print(main(["dump-state", "--topology", sys.argv[1], "--arrivals", "0"]))
 def test_invariants_checked_under_python_O(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fragsim.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O, str(bad)], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O, str(bad)], env=env_with_src(),
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["False", "True", "True", "2"], proc.stderr
     assert "error" in proc.stderr and "Traceback" not in proc.stderr

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import data_file
+from conftest import data_file, free_counts
 from fragsim.engine import (Simulation, make_grid, mean_ci99, run_steady_sweep,
                             run_transient, run_utilization_scan, t99)
 from fragsim.metrics import left_sum
@@ -47,7 +47,7 @@ class TestArrival:
             route_link = sim.routes[(lid, lid + 1)][0]
             mask = sum(1 << j for j, c in enumerate(bits) if c == "1")
             sim.state.occ[route_link] = mask
-        free = sim.state.free_counts()
+        free = free_counts(sim.state)
         for lid in range(3):
             assert free[sim.routes[(lid, lid + 1)][0]] >= 2
         assert sim.step_arrival(Demand(0, 0, 3, 2, 0.0, 1.0)) is None
@@ -90,7 +90,7 @@ class TestDeparture:
         sim.step_arrival(Demand(3, 0, 1, 5, 0.0, 10.0))  # fill the rest
         # 0 and 2 leave at 1.0, before the demand arriving then is routed
         assert sim.step_arrival(Demand(4, 0, 1, 2, 1.0, 1.0)) is None
-        assert sim.state.free_counts()[sim.routes[(0, 1)][0]] == 2
+        assert free_counts(sim.state)[sim.routes[(0, 1)][0]] == 2
         assert sorted(sim.connections) == [1, 3]
 
     def test_unknown_id_hard_fault(self, pair):

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from conftest import data_file
+from conftest import data_file, free_counts
 from fragsim.engine import Simulation
-from fragsim.metrics import (_NO_TRAILS, MetricBounds, _batch_runs, left_sum,
-                             adapted_components, beta_path_bound, compute_alpha,
+from fragsim.metrics import (_NO_TRAILS, FragmentationReport, MetricBounds, _batch_runs,
+                             left_sum, adapted_components, beta_path_bound, compute_alpha,
                              compute_beta, compute_bounds, compute_lefm,
                              compute_vfm, normalize, raw_nvfm, snapshot_report,
                              snapshot_reports)
@@ -363,6 +363,19 @@ class TestTaxonomy:
         assert rep.avfm == 0.0
         assert rep.utilization == 1.0
 
+    @pytest.mark.parametrize("topo", [
+        line_topology(5), line_topology(4, slices=7), load_topology(data_file("german.json")),
+        Topology("pair", 2, [(0, 1)], 2), Topology("pair", 2, [(0, 1)], 3)])
+    def test_all_busy_report_is_the_unfragmented_one(self, topo):
+        # nothing free anywhere: the general path gives exactly this report,
+        # also for bounds with no range (two slices, one-hop trails only)
+        ps = build_beta_paths(topo)
+        b = compute_bounds(topo, ps)
+        st = SpectrumState(topo.link_count, topo.slice_count)
+        st.occ = [(1 << topo.slice_count) - 1] * topo.link_count
+        assert snapshot_report(st, ps, b) == FragmentationReport(
+            1.0, 1.0, b.vfm_max, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0)
+
     def test_case_c_contiguous_and_continuous(self):
         st = state_from_free(["00111100"] * self.t.link_count)
         rep = self.report(st)
@@ -418,7 +431,7 @@ class TestSnapshotReport:
         assert rep.alpha == (1.0 if alpha is None else alpha)
         assert rep.beta == (1.0 if beta is None else beta)
         assert rep.lefm == (0.0 if lefm is None else lefm)
-        assert rep.el_size == sum(1 for n in st.free_counts() if n > 0)
+        assert rep.el_size == sum(1 for n in free_counts(st) if n > 0)
         assert rep.utilization == st.utilization()
 
     def test_fields_equal_components(self):
@@ -483,7 +496,7 @@ class TestFreeRuns:
         for k, st in enumerate(states):
             links = range(st.link_count)
             assert runs[k].tolist() == [st.max_contiguous_free(lid) for lid in links], k
-            assert free[k].tolist() == st.free_counts(), k
+            assert free[k].tolist() == free_counts(st), k
             for ti, hops in enumerate(ps.paths):
                 for j in range(s):
                     column = [not (st.occ[lid] >> j) & 1 for lid in hops]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import free_counts
 from fragsim.spectrum import SliceRange, SpectrumFault, SpectrumState
 from reference import max_run
 
@@ -30,11 +31,11 @@ class TestCounts:
         st = SpectrumState(1, 8)
         chequered(st, 0)
         assert st.max_contiguous_free(0) == 1
-        assert st.free_counts() == [4]
+        assert free_counts(st) == [4]
 
     def test_free_count_all_free(self):
         st = SpectrumState(1, 8)
-        assert st.free_counts() == [8]
+        assert free_counts(st) == [8]
 
     def test_random_bitmaps_match_naive(self):
         rnd = random.Random(1)
@@ -43,7 +44,7 @@ class TestCounts:
             occ = rnd.getrandbits(20)
             st.occ[0] = occ
             bits = [(occ >> j) & 1 == 0 for j in range(20)]
-            assert st.free_counts() == [sum(bits)]
+            assert free_counts(st) == [sum(bits)]
             assert st.max_contiguous_free(0) == max_run(bits)
 
 
@@ -111,7 +112,7 @@ class TestFirstFit:
         set_busy(st, 0, [0, 1, 4])   # free {2,3,5}
         set_busy(st, 1, [2, 3])      # free {0,1,4,5}
         set_busy(st, 2, [1, 4, 5])   # free {0,2,3}
-        assert min(st.free_counts()) >= 2
+        assert min(free_counts(st)) >= 2
         assert st.find_first_fit([0, 1, 2], 2) is None
 
     def test_minimal_start_property(self):
@@ -249,9 +250,9 @@ class TestSliceRange:
 class TestAllocateRelease:
     def test_accounting_identity(self):
         st = SpectrumState(4, 8)
-        before = st.free_counts()
+        before = free_counts(st)
         st.allocate([1, 2], SliceRange(3, 2))
-        assert st.free_counts() == [before[0], before[1] - 2, before[2] - 2, before[3]]
+        assert free_counts(st) == [before[0], before[1] - 2, before[2] - 2, before[3]]
 
     def test_disjoint_allocations_commute(self):
         a = SpectrumState(2, 8)
@@ -304,7 +305,7 @@ class TestAllocateRelease:
                 for lid in route:
                     for j in range(r.start, r.start + r.width):
                         occupied.add((lid, j))
-            free = st.free_counts()
+            free = free_counts(st)
             for lid in range(3):
                 expect = sum(1 << j for (l, j) in occupied if l == lid)
                 assert st.occ[lid] == expect
@@ -336,7 +337,7 @@ class TestDump:
         assert text.splitlines()[0] == "0: 10010001"
         again = SpectrumState.parse(text, 2, 8)
         assert again.occ == st.occ
-        assert again.free_counts() == [5, 8]
+        assert free_counts(again) == [5, 8]
 
     @pytest.mark.parametrize("slices", [7, 320])
     def test_round_trip_random(self, slices):

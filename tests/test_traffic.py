@@ -44,6 +44,9 @@ class TestProfile:
         with pytest.raises(ValueError, match="max_demand"):
             DemandProfile(1.0, 1.0, 2**32 + 1, 1)
         assert DemandProfile(1.0, 1.0, 2**32, 1).max_demand == 2**32
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                DemandProfile(1.0, 1.0, 16, seed)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values(self, bad):
@@ -161,6 +164,14 @@ def stream_digest(n, max_demand):
         h.update(repr((d.src, d.dst, d.width, d.arrival_time.hex(),
                        d.holding_time.hex())).encode())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+def test_key_below_2_pow_63_is_unchanged(seed):
+    # the key was once the plain list [seed, replication]; its streams stay
+    gen = DemandGenerator(DemandProfile(1.0, 1.0, 16, seed), 3, replication=4)
+    want = np.random.Philox(key=[seed, 4]).random_raw(8)
+    assert gen.bit_generator.random_raw(8).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("n,max_demand", STREAM_PINS)
