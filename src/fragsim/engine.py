@@ -5,7 +5,10 @@ One Simulation is a single replication: its own spectrum state, demand
 stream and heap of pending departures. `_advance` is the one event loop,
 fed by `run` from the stream and by `step_arrival` with one demand. Each
 demand first releases the connections due by its arrival time (also those
-due at it), then takes the first range free on its route or is blocked.
+due at it), then takes the first window free on its route or is blocked.
+A connection is the tuple (route, mask): its link ids and the bitmask of
+its slices, as `SpectrumState` takes and returns them, so the loop builds
+no `SliceRange`; `Connection.range` gives the readable form.
 A sample saves the bitmaps and the counters; the saved states are scored
 SAMPLE_BATCH at a time by one `snapshot_reports` call, and whatever is
 still pending is scored before `run` or a runner returns. Runners below
@@ -22,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,9 +47,9 @@ _Z995 = 2.5758293035489  # the standard normal 0.995 quantile
 def t99(df: int) -> float:
     """Two-sided 99% Student-t critical value: the table up to df 20, above
     it the Cornish-Fisher expansion of the quantile in 1/df to four terms
-    (within 3e-6 of the exact value for df > 20)."""
-    if df <= 0:
-        return 0.0
+    (within 3e-6 of the exact value for df > 20). There is none below df 1."""
+    if df < 1:
+        raise ValueError(f"t99 needs df >= 1, got {df}")
     if df <= len(_T99):
         return _T99[df - 1]
     z, z2 = _Z995, _Z995 * _Z995
@@ -59,20 +63,29 @@ def t99(df: int) -> float:
 def mean_ci99(values) -> tuple[np.ndarray, np.ndarray]:
     """Mean and 99% confidence half-width over axis 0 (the replications) of
     a float array. Both sums add left to right, as `left_sum` does:
-    np.add.accumulate is sequential along its axis."""
+    np.add.accumulate is sequential along its axis. One value has no
+    spread to estimate, so its half-width is nan, not 0."""
     a = np.asarray(values, dtype=float)
     n = len(a)
     mean = np.add.accumulate(a, axis=0)[-1] / n
     if n < 2:
-        return mean, np.zeros(np.shape(mean))
+        return mean, np.full(np.shape(mean), np.nan)
     dev = a - mean
     return mean, t99(n - 1) * np.sqrt(np.add.accumulate(dev * dev, axis=0)[-1] / (n - 1) / n)
 
 
-@dataclass(slots=True)
-class Connection:
-    route: list[int]
-    range: SliceRange
+class Connection(tuple):
+    """An active connection, `Connection((route, mask))`: the link ids of its
+    route and the bitmask of the slices it holds on each of them. It has no
+    `__new__` of its own, so building one runs no Python code."""
+    __slots__ = ()
+
+    route = property(itemgetter(0))
+    mask = property(itemgetter(1))
+
+    @property
+    def range(self) -> SliceRange:
+        return SliceRange.from_mask(self[1])
 
 
 # arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
@@ -132,18 +145,18 @@ class Simulation:
         due = sample_every
         for n, (demand_id, src, dst, width, t, holding) in enumerate(demands, 1):
             while heap and heap[0][0] <= t:  # due by t, also at t: leave first
-                conn = connections.pop(heappop(heap)[1])  # unknown id: KeyError
-                release(conn.route, conn.range)
+                route, mask = connections.pop(heappop(heap)[1])  # unknown id: KeyError
+                release(route, mask)
             total += 1
             route = routes[src, dst]
-            rng = first_fit(route, width)
-            if rng is None:
+            mask = first_fit(route, width)
+            if mask is None:
                 blocked += 1
                 window.append(1)
             else:
                 window.append(0)
-                allocate(route, rng)
-                connections[demand_id] = Connection(route, rng)
+                allocate(route, mask)
+                connections[demand_id] = Connection((route, mask))
                 heappush(heap, (t + holding, demand_id))
             if n == due:
                 due += sample_every

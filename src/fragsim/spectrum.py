@@ -12,6 +12,12 @@ the windows of `width` free slices with O(log width) shift-ANDs: doubling
 run lengths 1, 2, 4, ... up to the largest power of two n <= width, then one
 shift by width - n (Warren, Hacker's Delight, 2nd ed., section 6-2).
 
+A window of slices travels as its mask, the int with exactly its bits set:
+`find_first_fit` returns one, and `allocate` and `release` take one, so an
+admission never leaves the bitmaps. `SliceRange(start, width)` is the
+readable form of a window; `SliceRange.mask` and `SliceRange.from_mask`
+convert between the two.
+
 The metrics read the bitmaps themselves: a sample saves a copy of `occ`,
 and `metrics.snapshot_reports` packs the saved lists of a whole batch into
 one bit string. `max_contiguous_free` (the longest free run of one link in
@@ -34,6 +40,18 @@ class SpectrumFault(RuntimeError):
 class SliceRange(NamedTuple):
     start: int
     width: int
+
+    @property
+    def mask(self) -> int:
+        """The window's slices as a bitmask: bits start .. start + width - 1."""
+        return ((1 << self.width) - 1) << self.start
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "SliceRange":
+        """The window of a nonzero mask, from its lowest and highest set bits;
+        its `mask` is `mask` again exactly when the set bits are contiguous."""
+        start = (mask & -mask).bit_length() - 1
+        return cls(start, mask.bit_length() - start)
 
 
 class SpectrumState:
@@ -73,8 +91,9 @@ class SpectrumState:
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little")[: self.slice_count]
 
-    def find_first_fit(self, route: list[int], width: int) -> SliceRange | None:
-        """Smallest start index where `width` slices are free on every route link."""
+    def find_first_fit(self, route: list[int], width: int) -> int | None:
+        """Mask of the first window of `width` slices free on every route
+        link (the one with the smallest start), or None if there is none."""
         if width < 1:
             raise ValueError("width must be >= 1")
         if width > self.slice_count:
@@ -93,23 +112,24 @@ class SpectrumState:
         m &= m >> (width - n)
         if m == 0:
             return None
-        return SliceRange((m & -m).bit_length() - 1, width)
+        low = m & -m
+        return (low << width) - low
 
-    def allocate(self, route: list[int], rng: SliceRange) -> None:
+    def allocate(self, route: list[int], mask: int) -> None:
+        """Mark the slices of `mask` busy on every route link."""
         occ = self.occ
-        mask = ((1 << rng.width) - 1) << rng.start
         for lid in route:
             if occ[lid] & mask:
                 raise SpectrumFault(f"allocate collision on link {lid}")
             occ[lid] |= mask
 
-    def release(self, route: list[int], rng: SliceRange) -> None:
+    def release(self, route: list[int], mask: int) -> None:
+        """Mark the slices of `mask` free on every route link."""
         occ = self.occ
-        mask = ((1 << rng.width) - 1) << rng.start
         for lid in route:
             if (occ[lid] & mask) != mask:
                 raise SpectrumFault(f"release of free slice on link {lid}")
-            occ[lid] &= ~mask
+            occ[lid] ^= mask  # every bit of mask is set, so this clears them
 
     def utilization(self) -> float:
         """Occupied slices over the whole-network slice total."""

@@ -41,8 +41,12 @@ with open(os.path.join(os.path.dirname(__file__), "data", "exp_ziggurat.json")) 
     ZIG_EXP_R, _KE, _WE, _FE = map(json.load(_fh).get, ("r", "ke", "we", "fe"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandProfile:
+    """Traffic of one run. Frozen, so `__post_init__` has checked every
+    value it holds: a changed profile is a new object, which is also how
+    the demand stream sees the change."""
+
     arrival_rate_per_node: float   # lambda, requests per time unit per node
     mean_holding: float            # 1/mu, time units
     max_demand: int
@@ -139,21 +143,30 @@ class DemandGenerator:
         1 <= bound <= 2**32: numpy's buffered_bounded_lemire_uint32 on the
         low half of a fresh word, whose high half is kept for the next draw,
         or else on the kept half, as in Philox's next_uint32. Bound 1 draws
-        nothing."""
+        nothing. What a profile sets (the mean gap, the mean holding time,
+        the three bounds and their rejection thresholds) is worked out when
+        `self.profile` is a new object, before the next demand is drawn."""
         raw, ke, we, unlikely = (self.bit_generator.random_raw, _KE, _WE,
                                  standard_exponential_unlikely)
         # iter(f, None) calls f until it returns None, which no block is
         word = chain.from_iterable(iter(lambda: raw(WORD_BLOCK).tolist(), None)).__next__
         clock = 0.0
         kept = None  # high half of the last raw word, not yet used
+        profile = None
         for demand_id in count():
-            p = self.profile
+            if self.profile is not profile:
+                profile = self.profile
+                gap = 1.0 / (n * profile.arrival_rate_per_node)
+                holding = profile.mean_holding
+                # a low part below (2**32 - bound) % bound (< bound) would
+                # bias the result, so numpy redraws it
+                bounds = [(bound, (2**32 - bound) % bound)
+                          for bound in (n, n - 1, profile.max_demand)]
             w = word()
             ri, idx = w >> 11, (w >> 3) & 0xFF
-            clock += 1.0 / (n * p.arrival_rate_per_node) * (
-                ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx))
+            clock += gap * (ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx))
             draws = []
-            for bound in (n, n - 1, p.max_demand):
+            for bound, threshold in bounds:
                 m = 0
                 while bound > 1:
                     if kept is None:
@@ -162,10 +175,7 @@ class DemandGenerator:
                     else:
                         x, kept = kept, None
                     m = x * bound
-                    low = m & _WORD
-                    # a low part below (2**32 - bound) % bound (< bound)
-                    # would bias the result, so numpy redraws it
-                    if low >= bound or low >= (2**32 - bound) % bound:
+                    if (m & _WORD) >= threshold:
                         break
                 draws.append(m >> 32)
             src, dst, width = draws
@@ -174,7 +184,7 @@ class DemandGenerator:
             w = word()
             ri, idx = w >> 11, (w >> 3) & 0xFF
             yield (demand_id, src, dst, width + 1, clock,
-                   p.mean_holding * (ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)))
+                   holding * (ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)))
 
     def next_demand(self) -> Demand:
         return Demand(*next(self.stream))

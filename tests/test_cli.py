@@ -443,6 +443,20 @@ class TestExperiments:
         assert meta["rng"] == "philox4x64"
         assert len(meta["topology_sha256"]) == 64
 
+    def test_one_replication_has_no_interval(self, capsys, tmp_path):
+        # one run has no spread to estimate: every half-width reads nan, not 0
+        out = tmp_path / "exp"
+        code, _, err = run_cli(capsys, "transient",
+                               "--topology", data_file("fig_example.json"),
+                               "--arrivals", "100", "--replications", "1",
+                               "--sample-every", "25", "--max-demand", "3",
+                               "--load", "5", "--out", str(out))
+        assert code == 0, err
+        header, *rows = (out / "transient_summary.csv").read_text().splitlines()
+        assert header == "arrivals,metric,mean,ci99" and rows
+        assert all(row.split(",")[3] == "nan" for row in rows)
+        assert all(row.split(",")[2] != "nan" for row in rows)
+
     def test_sweep_grid_and_rerun_identical(self, capsys, tmp_path):
         args = ["sweep", "--topology", data_file("fig_example.json"),
                 "--loads", "3,6", "--max-demands", "2,3",
@@ -636,7 +650,10 @@ print(code, time.perf_counter() - t)
 UNDER_O = """
 import sys
 from fragsim.cli import main
+from fragsim.engine import Simulation
 from fragsim.spectrum import SliceRange, SpectrumFault, SpectrumState
+from fragsim.topology import Topology, build_beta_paths
+from fragsim.traffic import Demand, DemandProfile
 
 def faults(call):
     try:
@@ -646,10 +663,16 @@ def faults(call):
     return False
 
 st = SpectrumState(1, 8)
-st.allocate([0], SliceRange(0, 4))
+st.allocate([0], SliceRange(0, 4).mask)
 print(__debug__)
-print(faults(lambda: st.allocate([0], SliceRange(3, 2))))
-print(faults(lambda: st.release([0], SliceRange(4, 2))))
+print(faults(lambda: st.allocate([0], SliceRange(3, 2).mask)))
+print(faults(lambda: st.release([0], SliceRange(4, 2).mask)))
+# the mask of a connection that has departed, released once more
+topo = Topology("pair", 2, [(0, 1)], 8)
+sim = Simulation(topo, DemandProfile(1.0, 1.0, 1, 0), build_beta_paths(topo))
+route, mask = sim.step_arrival(Demand(0, 0, 1, 3, 0.0, 1.0))
+sim.step_arrival(Demand(1, 0, 1, 9, 2.0, 1.0))  # too wide: only the departure
+print(faults(lambda: sim.state.release(route, mask)))
 print(main(["dump-state", "--topology", sys.argv[1], "--arrivals", "0"]))
 """
 
@@ -659,5 +682,5 @@ def test_invariants_checked_under_python_O(tmp_path):
     bad.write_text("[1, 2]")
     proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O, str(bad)], env=env_with_src(),
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["False", "True", "True", "2"], proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True", "2"], proc.stderr
     assert "error" in proc.stderr and "Traceback" not in proc.stderr

@@ -12,6 +12,7 @@ from fragsim.topology import (Topology, all_pairs_routes, build_beta_paths,
                               load_topology)
 from fragsim.traffic import Demand, DemandGenerator, DemandProfile
 from reference import RefSim, ref_alpha, ref_beta, ref_lefm
+from test_random_topologies import random_case
 
 
 def make_sim(topology, seed=1, max_demand=4, load=20.0, rep=0):
@@ -127,6 +128,34 @@ class TestInvariants:
         assert sim.state.occ == [0] * chain4.link_count
         assert sim.state.utilization() == 0.0
 
+    @pytest.mark.parametrize("case", ["nsfnet", "german", 0, 1, 2, 3])
+    def test_masks_tile_the_bitmaps(self, case):
+        # active connections' masks: one contiguous run each, disjoint on
+        # every shared link, and together exactly each link's bitmap
+        if isinstance(case, str):
+            topo = load_topology(data_file(f"{case}.json"))
+            paths, profile = build_beta_paths(topo), DemandProfile.resolve(16, 3, load=80.0)
+        else:
+            n, fibers, slices, path_count = random_case(case)
+            topo = Topology(f"r{case}", n, fibers, slices)
+            paths = build_beta_paths(topo, path_count)
+            profile = DemandProfile.resolve(slices, case, load=3.0)
+        sim = Simulation(topo, profile, paths)
+        for _ in range(4):
+            sim.run(300, sample_every=301)
+            held = [0] * topo.link_count
+            for conn in sim.connections.values():
+                route, mask = conn
+                low = mask & -mask
+                assert mask > 0 and (mask + low) & mask == 0, mask  # one run
+                assert conn.range.mask == conn.mask == mask
+                assert mask.bit_length() <= topo.slice_count
+                for lid in route:
+                    assert not held[lid] & mask, (lid, mask)
+                    held[lid] |= mask
+            assert held == sim.state.occ
+        assert sim.connections and sim.blocked_requests > 0
+
     def test_monotone_blocking_when_widths_grow(self):
         t = Topology("tri", 3, [(0, 1), (1, 2), (0, 2)], 8)
         paths = build_beta_paths(t)
@@ -186,7 +215,13 @@ class TestStats:
         assert hw == pytest.approx(9.925 * 1.0 / math.sqrt(3))
 
     def test_single_value_no_interval(self):
-        assert mean_ci99([5.0]) == (5.0, 0.0)
+        mean, hw = mean_ci99([5.0])
+        assert mean == 5.0 and math.isnan(hw)
+
+    @pytest.mark.parametrize("df", [0, -1])
+    def test_t99_needs_one_degree_of_freedom(self, df):
+        with pytest.raises(ValueError, match="df"):
+            t99(df)
 
     @pytest.mark.parametrize("replications", [1, 2, 3, 10])
     def test_array_equals_scalar_left_to_right(self, replications):
@@ -197,7 +232,7 @@ class TestStats:
             n = len(col)
             m = left_sum(col) / n
             if n < 2:
-                return m, 0.0
+                return m, math.nan
             ss = left_sum((v - m) * (v - m) for v in col)
             return m, t99(n - 1) * math.sqrt(ss / (n - 1) / n)
 

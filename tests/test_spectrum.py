@@ -95,16 +95,16 @@ class TestFirstFit:
         st = SpectrumState(2, 8)
         set_busy(st, 0, [2, 3, 6, 7])  # free {0,1,4,5}
         set_busy(st, 1, [0, 3, 6, 7])  # free {1,2,4,5}
-        assert st.find_first_fit([0, 1], 2) == SliceRange(4, 2)
+        assert st.find_first_fit([0, 1], 2) == SliceRange(4, 2).mask
 
     def test_width_beyond_grid_blocks(self):
         st = SpectrumState(1, 8)
         assert st.find_first_fit([0], 9) is None
-        assert st.find_first_fit([0], 8) == SliceRange(0, 8)
+        assert st.find_first_fit([0], 8) == SliceRange(0, 8).mask
 
     def test_empty_spectrum_starts_at_zero(self):
         st = SpectrumState(3, 8)
-        assert st.find_first_fit([0, 1, 2], 3) == SliceRange(0, 3)
+        assert st.find_first_fit([0, 1, 2], 3) == SliceRange(0, 3).mask
 
     def test_continuity_blocks_despite_free_slices(self):
         # 3-link chain, >=2 free slices per link, but no common 2-wide range
@@ -134,7 +134,7 @@ class TestFirstFit:
             if got is None:
                 assert not feasible
             else:
-                assert got.start == feasible[0]
+                assert got == SliceRange(feasible[0], width).mask
 
     def test_monotone_in_width(self):
         rnd = random.Random(3)
@@ -217,8 +217,13 @@ class TestFirstFitOracle:
                         st.occ = self.spread(rnd, hops, busy)
                         want = naive_first_fit(st.occ, route, width, s)
                         got = st.find_first_fit(route, width)
-                        assert got == (None if want is None else SliceRange(want, width)), \
-                            (s, hops, width, st.occ)
+                        # a hit is any result that is not None, so no window
+                        # must read None, not 0
+                        if want is None:
+                            assert got is None, (s, hops, width, st.occ)
+                        else:
+                            assert type(got) is int and got == SliceRange(want, width).mask, \
+                                (s, hops, width, st.occ)
 
     def test_adversarial_cases_have_the_intended_answer(self):
         for s in self.SLICE_COUNTS:
@@ -246,41 +251,53 @@ class TestSliceRange:
         assert (r.start, r.width) == (3, 2)
         assert SliceRange(0, 2) == (0, 2)  # a named tuple, equal to a plain one
 
+    def test_mask_round_trip(self):
+        assert SliceRange(3, 2).mask == 0b11000
+        assert SliceRange(0, 1).mask == 1
+        for start in range(0, 70, 7):
+            for width in (1, 2, 5, 64, 65):
+                r = SliceRange(start, width)
+                assert r.mask.bit_count() == width
+                assert SliceRange.from_mask(r.mask) == r
+        # a mask with a gap spans its lowest to its highest bit
+        assert SliceRange.from_mask(0b101100) == SliceRange(2, 4)
+        assert SliceRange.from_mask(0b101100).mask != 0b101100
+
 
 class TestAllocateRelease:
     def test_accounting_identity(self):
         st = SpectrumState(4, 8)
         before = free_counts(st)
-        st.allocate([1, 2], SliceRange(3, 2))
+        st.allocate([1, 2], SliceRange(3, 2).mask)
         assert free_counts(st) == [before[0], before[1] - 2, before[2] - 2, before[3]]
 
     def test_disjoint_allocations_commute(self):
         a = SpectrumState(2, 8)
         b = SpectrumState(2, 8)
-        a.allocate([0], SliceRange(0, 2))
-        a.allocate([0, 1], SliceRange(4, 3))
-        b.allocate([0, 1], SliceRange(4, 3))
-        b.allocate([0], SliceRange(0, 2))
+        a.allocate([0], SliceRange(0, 2).mask)
+        a.allocate([0, 1], SliceRange(4, 3).mask)
+        b.allocate([0, 1], SliceRange(4, 3).mask)
+        b.allocate([0], SliceRange(0, 2).mask)
         assert a.occ == b.occ
 
     def test_round_trip_restores_bitmap(self):
         st = SpectrumState(3, 16)
         set_busy(st, 0, [1, 5])
         snapshot = list(st.occ)
-        st.allocate([0, 1, 2], SliceRange(8, 4))
-        st.release([0, 1, 2], SliceRange(8, 4))
+        st.allocate([0, 1, 2], SliceRange(8, 4).mask)
+        st.release([0, 1, 2], SliceRange(8, 4).mask)
         assert st.occ == snapshot
 
     def test_collision_faults(self):
         st = SpectrumState(1, 8)
-        st.allocate([0], SliceRange(0, 4))
+        st.allocate([0], SliceRange(0, 4).mask)
         with pytest.raises(SpectrumFault):
-            st.allocate([0], SliceRange(3, 2))
+            st.allocate([0], SliceRange(3, 2).mask)
 
     def test_double_free_faults(self):
         st = SpectrumState(1, 8)
         with pytest.raises(SpectrumFault):
-            st.release([0], SliceRange(0, 1))
+            st.release([0], SliceRange(0, 1).mask)
 
     def test_random_sequences_match_replay_log(self):
         rnd = random.Random(4)
@@ -289,22 +306,25 @@ class TestAllocateRelease:
         live = []
         for _ in range(500):
             if live and rnd.random() < 0.45:
-                route, r = live.pop(rnd.randrange(len(live)))
-                st.release(route, r)
+                route, mask = live.pop(rnd.randrange(len(live)))
+                st.release(route, mask)
                 for lid in route:
-                    for j in range(r.start, r.start + r.width):
-                        occupied.discard((lid, j))
+                    for j in range(16):
+                        if (mask >> j) & 1:
+                            occupied.discard((lid, j))
             else:
                 route = sorted(rnd.sample(range(3), rnd.randint(1, 3)))
                 width = rnd.randint(1, 4)
-                r = st.find_first_fit(route, width)
-                if r is None:
+                mask = st.find_first_fit(route, width)
+                if mask is None:
                     continue
-                st.allocate(route, r)
-                live.append((route, r))
+                assert mask.bit_count() == width
+                st.allocate(route, mask)
+                live.append((route, mask))
                 for lid in route:
-                    for j in range(r.start, r.start + r.width):
-                        occupied.add((lid, j))
+                    for j in range(16):
+                        if (mask >> j) & 1:
+                            occupied.add((lid, j))
             free = free_counts(st)
             for lid in range(3):
                 expect = sum(1 << j for (l, j) in occupied if l == lid)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -64,6 +65,14 @@ class TestProfile:
         # 1/rate, the mean gap, or the load overflows or underflows
         with pytest.raises(ValueError, match="finite"):
             DemandProfile(rate, holding, 16, 1)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DemandProfile)])
+    def test_fields_cannot_be_set(self, name):
+        # a field set after construction would skip __post_init__'s checks
+        p = DemandProfile(1.0, 1.0, 16, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0)
+        assert p == DemandProfile(1.0, 1.0, 16, 1)
 
 
 class TestGenerator:
