@@ -6,9 +6,11 @@ stream and heap of pending departures. `_advance` is the one event loop,
 fed by `run` from the stream and by `step_arrival` with one demand. Each
 demand first releases the connections due by its arrival time (also those
 due at it), then takes the first window free on its route or is blocked.
-A connection is the tuple (route, mask): its link ids and the bitmask of
-its slices, as `SpectrumState` takes and returns them, so the loop builds
-no `SliceRange`; `Connection.range` gives the readable form.
+An active connection is recorded once, as its departure heap entry
+(departure time, id, route, mask), route and mask as `SpectrumState` takes
+and returns them, so the loop builds no `SliceRange` and keeps no dict in
+step with the heap. `Simulation.connections` is a view of the heap built
+when read, in O(active); `Connection.range` gives a window's readable form.
 A sample saves the bitmaps and the counters; the saved states are scored
 SAMPLE_BATCH at a time by one `snapshot_reports` call, and whatever is
 still pending is scored before `run` or a runner returns. Runners below
@@ -25,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,18 +76,15 @@ def mean_ci99(values) -> tuple[np.ndarray, np.ndarray]:
     return mean, t99(n - 1) * np.sqrt(np.add.accumulate(dev * dev, axis=0)[-1] / (n - 1) / n)
 
 
-class Connection(tuple):
-    """An active connection, `Connection((route, mask))`: the link ids of its
-    route and the bitmask of the slices it holds on each of them. It has no
-    `__new__` of its own, so building one runs no Python code."""
-    __slots__ = ()
-
-    route = property(itemgetter(0))
-    mask = property(itemgetter(1))
+class Connection(NamedTuple):
+    """An active connection: the link ids of its route and the bitmask of
+    the slices it holds on each of them."""
+    route: list[int]
+    mask: int
 
     @property
     def range(self) -> SliceRange:
-        return SliceRange.from_mask(self[1])
+        return SliceRange.from_mask(self.mask)
 
 
 # arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
@@ -123,7 +122,6 @@ class Simulation:
         self.state = SpectrumState(topology.link_count, topology.slice_count)
         self.gen = DemandGenerator(profile, topology.node_count, replication)
         self.queue = EventQueue()
-        self.connections: dict[int, Connection] = {}
         self.total_requests = 0
         self.blocked_requests = 0
         self.clamp_events = 0
@@ -133,11 +131,17 @@ class Simulation:
         # (t, arrivals, occ copy, br_tr, br_tr_win) of samples not yet scored
         self._pending: list[tuple] = []
 
+    @property
+    def connections(self) -> dict[int, Connection]:
+        """Active connections by id: a copy, built from the heap when read."""
+        return {conn_id: Connection(route, mask)
+                for _, conn_id, route, mask in self.queue.heap}
+
     def _advance(self, demands, sample_every: int) -> None:
         """Handle each (id, src, dst, width, arrival_time, holding_time) demand,
         sampling after every `sample_every`-th (0: never). The counters and
         the clock are locals, written back before each sample and at the end."""
-        state, routes, connections = self.state, self.routes, self.connections
+        state, routes = self.state, self.routes
         heap, window = self.queue.heap, self._window
         # looked up on the instance now, so wrappers set on it are seen
         first_fit, allocate, release = state.find_first_fit, state.allocate, state.release
@@ -145,7 +149,7 @@ class Simulation:
         due = sample_every
         for n, (demand_id, src, dst, width, t, holding) in enumerate(demands, 1):
             while heap and heap[0][0] <= t:  # due by t, also at t: leave first
-                route, mask = connections.pop(heappop(heap)[1])  # unknown id: KeyError
+                _, _, route, mask = heappop(heap)
                 release(route, mask)
             total += 1
             route = routes[src, dst]
@@ -156,8 +160,7 @@ class Simulation:
             else:
                 window.append(0)
                 allocate(route, mask)
-                connections[demand_id] = Connection((route, mask))
-                heappush(heap, (t + holding, demand_id))
+                heappush(heap, (t + holding, demand_id, route, mask))
             if n == due:
                 due += sample_every
                 self.total_requests, self.blocked_requests, self.clock = total, blocked, t
@@ -338,11 +341,12 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
         util = max_util = 0.0
 
         def demands():
-            # resumed by the event loop once it has handled the last demand
+            # resumed by the event loop once it has handled the last demand,
+            # whose blocking flag (0: admitted) is then the window's last
             nonlocal util, max_util
             for n, demand in enumerate(islice(sim.gen.stream, max_arrivals), 1):
                 yield demand
-                if demand[0] in sim.connections:
+                if not sim._window[-1]:
                     util = sim.state.utilization()
                     max_util = max(max_util, util)
                 if n % ESCALATE_EVERY == 0:

@@ -191,16 +191,18 @@ class DemandGenerator:
 
 
 class EventQueue:
-    """Min-heap of pending departures as (departure time, connection id),
-    so equal times leave in id order. The event loop works on `heap` itself."""
+    """Min-heap of pending departures as (departure time, connection id,
+    route, mask), the one record of each active connection. The demand
+    stream's ids are unique, so equal times leave in id order and routes are
+    never compared. The event loop works on `heap` itself."""
 
     def __init__(self):
-        self.heap: list[tuple[float, int]] = []
+        self.heap: list[tuple[float, int, list[int], int]] = []
 
-    def push(self, time: float, conn_id: int) -> None:
-        heapq.heappush(self.heap, (time, conn_id))
+    def push(self, time: float, conn_id: int, route: list[int], mask: int) -> None:
+        heapq.heappush(self.heap, (time, conn_id, route, mask))
 
-    def pop(self) -> tuple[float, int]:
-        """Next (time, connection id); the queue must not be empty."""
+    def pop(self) -> tuple[float, int, list[int], int]:
+        """Next (time, connection id, route, mask); the queue must not be empty."""
         return heapq.heappop(self.heap)
 

@@ -94,12 +94,6 @@ class TestDeparture:
         assert free_counts(sim.state)[sim.routes[(0, 1)][0]] == 2
         assert sorted(sim.connections) == [1, 3]
 
-    def test_unknown_id_hard_fault(self, pair):
-        sim = make_sim(pair)
-        sim.queue.push(0.0, 999)  # a departure of no connection
-        with pytest.raises(KeyError):
-            sim.run(1, sample_every=1)
-
     def test_arrival_at_departure_time_reuses_freed_slices(self, pair):
         # departures due at a demand's arrival time leave before it is routed
         sim = make_sim(pair)
@@ -109,7 +103,23 @@ class TestDeparture:
         assert conn is not None and conn.range == SliceRange(0, 8)
         assert sim.clock == 1.75
         assert list(sim.connections) == [2]
-        assert sim.queue.heap == [(2.75, 2)]
+        assert sim.queue.heap == [(2.75, 2, sim.routes[0, 1], 0xFF)]
+
+    def test_shared_id_connections_both_depart(self, pair):
+        # the heap entry, not the id, is the record of a connection: two
+        # admitted demands with one id both leave, each with its own slices
+        sim = make_sim(pair)
+        first = sim.step_arrival(Demand(0, 0, 1, 1, 0.0, 1.0))
+        assert first is not None
+        assert sim.step_arrival(Demand(0, 0, 1, 1, 0.5, 1.0)) is not None
+        assert sim.state.occ[sim.routes[0, 1][0]] == 0b11
+        view = sim.connections
+        view.clear()  # a copy: the simulation keeps its connections
+        view[7] = first
+        assert len(sim.queue.heap) == 2 and 7 not in sim.connections
+        assert sim.step_arrival(too_wide(pair, 1, 2.0)) is None
+        assert sim.state.occ == [0] * pair.link_count
+        assert not sim.queue.heap and not sim.connections
 
 
 class TestInvariants:
@@ -120,8 +130,8 @@ class TestInvariants:
             occupied = sum(bin(occ).count("1") for occ in sim.state.occ)
             assert occupied == sum(c.range.width * len(c.route)
                                    for c in sim.connections.values())
-        # releasing every departure: each queued id is a live connection,
-        # once (KeyError or SpectrumFault otherwise)
+        # releasing every departure: each queued entry is a live connection,
+        # released once (SpectrumFault otherwise)
         sim.step_arrival(too_wide(chain4, -1, math.inf))
         assert not sim.queue.heap
         assert not sim.connections
@@ -345,6 +355,13 @@ class TestRunners:
         assert sampled(stop) == [0, stop]
         every = 7 if stop % 7 else 8
         assert sampled(every) == list(range(0, stop, every)) + [stop]
+        # the stop is the first arrival that reaches the target, and the
+        # peak utilization is its own
+        res = run_utilization_scan(t, profile, paths, target=0.6, sample_every=1,
+                                   max_arrivals=100_000)
+        utils = [s.report.utilization for s in res.samples]
+        assert [u >= 0.6 for u in utils].index(True) == stop
+        assert res.max_utilization == max(utils) == utils[stop]
 
     def test_clamp_events_summed_over_every_simulation(self):
         # single-slice demands on a 4-slice chain reach states below the

@@ -272,26 +272,28 @@ class TestEventQueue:
     def test_heap_order(self):
         q = EventQueue()
         for t in [3.0, 1.0, 2.0]:
-            q.push(t, int(t))
-        assert [q.pop() for _ in range(3)] == [(1.0, 1), (2.0, 2), (3.0, 3)]
+            q.push(t, int(t), [int(t)], 1 << int(t))
+        assert [q.pop() for _ in range(3)] == [(1.0, 1, [1], 2), (2.0, 2, [2], 4),
+                                               (3.0, 3, [3], 8)]
         assert not q.heap
 
     def test_id_breaks_remaining_ties(self):
         q = EventQueue()
-        q.push(1.0, 9)
-        q.push(1.0, 4)
-        assert q.heap[0] == (1.0, 4)
-        assert q.pop() == (1.0, 4)
+        q.push(1.0, 9, [0], 1)
+        q.push(1.0, 4, [1], 2)
+        assert q.heap[0] == (1.0, 4, [1], 2)
+        assert q.pop() == (1.0, 4, [1], 2)
 
     def test_random_events_match_sort_oracle(self):
         rnd = random.Random(9)
         ids = list(range(10_000))
         rnd.shuffle(ids)  # pushed out of id order, with many equal times
-        events = [(round(rnd.uniform(0, 100), 1), i) for i in ids]
+        # ids are unique, so (time, id) alone orders the entries
+        events = [(round(rnd.uniform(0, 100), 1), i, [-i], -i) for i in ids]
         q = EventQueue()
-        for t, conn_id in events:
-            q.push(t, conn_id)
+        for event in events:
+            q.push(*event)
         popped = [q.pop() for _ in events]
-        assert popped == sorted(events)
+        assert popped == sorted(events, key=lambda e: e[:2])
         assert not q.heap
 
