@@ -9,12 +9,14 @@ due at it), then takes the first window free on its route or is blocked.
 An active connection is recorded once, as its departure heap entry
 (departure time, id, route, mask), route and mask as `SpectrumState` takes
 and returns them, so the loop builds no `SliceRange` and keeps no dict in
-step with the heap. `Simulation.connections` is a view of the heap built
-when read, in O(active); `Connection.range` gives a window's readable form.
+step with the heap. `step_arrival` answers from the loop's own (route,
+mask); `Simulation.connections` is an inspection view of the heap, built
+when read in O(active). The routes are the topology's cached table.
 A sample saves the bitmaps and the counters; the saved states are scored
 SAMPLE_BATCH at a time by one `snapshot_reports` call, and whatever is
-still pending is scored before `run` or a runner returns. Runners below
-repeat replications with independent RNG streams. A sample's values are
+still pending is scored before `run` or a runner returns; `clamp_events`
+counts the scored samples that were clamped. Runners below repeat
+replications with independent RNG streams. A sample's values are
 `Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
 Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
 them: replications x points x metrics for a transient, samples x metrics
@@ -31,11 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# snapshot_report is not called here; bench/trace_layers.py and
-# bench/selftest.py look it up in this module by name
+# snapshot_report and all_pairs_routes are not called here;
+# bench/trace_layers.py and bench/selftest.py look them up in this module by name
 from .metrics import (METRICS, SUMMARY_METRICS, FragmentationReport,
-                      MetricBounds, compute_bounds, left_sum, snapshot_report,
-                      snapshot_reports)
+                      compute_bounds, left_sum, snapshot_report, snapshot_reports)
 from .spectrum import SliceRange, SpectrumState
 from .topology import BetaPathSet, Topology, all_pairs_routes
 from .traffic import Demand, DemandGenerator, DemandProfile, EventQueue
@@ -113,18 +114,15 @@ class Simulation:
     """One replication of the dynamic-traffic experiment."""
 
     def __init__(self, topology: Topology, profile: DemandProfile,
-                 paths: BetaPathSet, replication: int = 0,
-                 bounds: MetricBounds | None = None,
-                 routes: dict[tuple[int, int], list[int]] | None = None):
+                 paths: BetaPathSet, replication: int = 0):
         self.paths = paths
-        self.bounds = bounds or compute_bounds(topology, paths)
-        self.routes = routes or all_pairs_routes(topology)
+        self.bounds = compute_bounds(topology, paths)
+        self.routes = topology.routes
         self.state = SpectrumState(topology.link_count, topology.slice_count)
         self.gen = DemandGenerator(profile, topology.node_count, replication)
         self.queue = EventQueue()
         self.total_requests = 0
         self.blocked_requests = 0
-        self.clamp_events = 0
         self.clock = 0.0
         self._window = deque(maxlen=BR_WINDOW)
         self.samples: list[Sample] = []
@@ -133,20 +131,27 @@ class Simulation:
 
     @property
     def connections(self) -> dict[int, Connection]:
-        """Active connections by id: a copy, built from the heap when read."""
+        """Active connections by id, for inspection: a copy built from the heap."""
         return {conn_id: Connection(route, mask)
                 for _, conn_id, route, mask in self.queue.heap}
 
-    def _advance(self, demands, sample_every: int) -> None:
+    @property
+    def clamp_events(self) -> int:
+        """Scored samples whose report was clamped to the bounds."""
+        return sum(s.report.clamped for s in self.samples)
+
+    def _advance(self, demands, sample_every: int):
         """Handle each (id, src, dst, width, arrival_time, holding_time) demand,
-        sampling after every `sample_every`-th (0: never). The counters and
-        the clock are locals, written back before each sample and at the end."""
+        sampling after every `sample_every`-th (0: never); the last one's
+        (route, mask), mask None if it was blocked. The counters and the
+        clock are locals, written back before each sample and at the end."""
         state, routes = self.state, self.routes
         heap, window = self.queue.heap, self._window
         # looked up on the instance now, so wrappers set on it are seen
         first_fit, allocate, release = state.find_first_fit, state.allocate, state.release
         total, blocked, t = self.total_requests, self.blocked_requests, self.clock
         due = sample_every
+        route = mask = None
         for n, (demand_id, src, dst, width, t, holding) in enumerate(demands, 1):
             while heap and heap[0][0] <= t:  # due by t, also at t: leave first
                 _, _, route, mask = heappop(heap)
@@ -166,11 +171,12 @@ class Simulation:
                 self.total_requests, self.blocked_requests, self.clock = total, blocked, t
                 self.take_sample()
         self.total_requests, self.blocked_requests, self.clock = total, blocked, t
+        return route, mask
 
     def step_arrival(self, demand: Demand) -> Connection | None:
         """Handle one demand as `run` does; its connection, or None if blocked."""
-        self._advance((demand,), 0)
-        return self.connections.get(demand.id)
+        route, mask = self._advance((demand,), 0)
+        return None if mask is None else Connection(route, mask)
 
     def br_tr(self) -> float:
         return self.blocked_requests / self.total_requests if self.total_requests else 0.0
@@ -191,10 +197,8 @@ class Simulation:
             return
         reports = snapshot_reports([p[2] for p in pending], self.state.slice_count,
                                    self.paths, self.bounds)
-        for (t, arrivals, _, br_tr, br_tr_win), rep in zip(pending, reports):
-            if rep.clamped:
-                self.clamp_events += 1
-            self.samples.append(Sample(t, arrivals, rep, br_tr, br_tr_win))
+        self.samples += (Sample(t, arrivals, rep, br_tr, br_tr_win) for
+                         (t, arrivals, _, br_tr, br_tr_win), rep in zip(pending, reports))
         pending.clear()
 
     def run(self, arrivals: int, sample_every: int) -> list[Sample]:
@@ -215,19 +219,15 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
     """drive(sim) on one fresh Simulation per (profile, replication index),
     as (results over replications, their summed clamp events) per profile.
 
-    The bounds and the routes are computed once and shared. Each replication
+    Every Simulation reads the topology's one route table. Each replication
     index keys its own Philox stream, so every run is independent of the
     others."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    bounds = compute_bounds(topology, paths)
-    routes = all_pairs_routes(topology)
     out = []
     for p in profiles:
         # built one at a time, so each is freed once its run is done
-        sims = (Simulation(topology, p, paths, replication=r, bounds=bounds,
-                           routes=routes)
-                for r in range(replications))
+        sims = (Simulation(topology, p, paths, replication=r) for r in range(replications))
         runs = [(drive(sim), sim.clamp_events) for sim in sims]
         out.append(([res for res, _ in runs], sum(c for _, c in runs)))
     return out
@@ -333,35 +333,32 @@ def run_utilization_scan(topology: Topology, profile: DemandProfile, paths: Beta
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
 
-    def scan(sim: Simulation) -> tuple[list[Sample], bool, float]:
-        sim.take_sample()  # the empty-network point
-        # utilization is read only after an admission: a blocked arrival
-        # only releases slices, so it can neither raise max_util nor reach
-        # a target that the last admission (or the empty network) missed
-        util = max_util = 0.0
+    sim = Simulation(topology, profile, paths)
+    sim.take_sample()  # the empty-network point
+    # utilization is read only after an admission: a blocked arrival only
+    # releases slices, so it can neither raise max_util nor reach a target
+    # that the last admission (or the empty network) missed
+    util = max_util = 0.0
 
-        def demands():
-            # resumed by the event loop once it has handled the last demand,
-            # whose blocking flag (0: admitted) is then the window's last
-            nonlocal util, max_util
-            for n, demand in enumerate(islice(sim.gen.stream, max_arrivals), 1):
-                yield demand
-                if not sim._window[-1]:
-                    util = sim.state.utilization()
-                    max_util = max(max_util, util)
-                if n % ESCALATE_EVERY == 0:
-                    p = sim.gen.profile
-                    sim.gen.profile = DemandProfile(p.arrival_rate_per_node * ESCALATE_FACTOR,
-                                                    p.mean_holding, p.max_demand, p.seed)
-                if util >= target:
-                    return
+    def demands():
+        # resumed by the event loop once it has handled the last demand,
+        # whose blocking flag (0: admitted) is then the window's last
+        nonlocal util, max_util
+        for n, demand in enumerate(islice(sim.gen.stream, max_arrivals), 1):
+            yield demand
+            if not sim._window[-1]:
+                util = sim.state.utilization()
+                max_util = max(max_util, util)
+            if n % ESCALATE_EVERY == 0:
+                p = sim.gen.profile
+                sim.gen.profile = DemandProfile(p.arrival_rate_per_node * ESCALATE_FACTOR,
+                                                p.mean_holding, p.max_demand, p.seed)
+            if util >= target:
+                return
 
-        sim._advance(demands(), sample_every)
-        reached = util >= target
-        if reached and sim.total_requests % sample_every:  # not sampled by the loop
-            sim.take_sample()
-        sim.flush_samples()
-        return sim.samples, reached, max_util
-
-    [([result], clamps)] = _replicate(topology, paths, [profile], 1, scan)
-    return ScanResult(*result, clamps)
+    sim._advance(demands(), sample_every)
+    reached = util >= target
+    if reached and sim.total_requests % sample_every:  # not sampled by the loop
+        sim.take_sample()
+    sim.flush_samples()
+    return ScanResult(sim.samples, reached, max_util, sim.clamp_events)

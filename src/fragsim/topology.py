@@ -4,14 +4,17 @@ A topology is its list of bidirectional fibers, loaded from a JSON file;
 the directed links and the adjacency lists are derived from it once, at
 construction: fiber k is link 2k (forward) and link 2k+1 (reverse). All
 links share one spectrum grid size. Instances are immutable after
-construction and safe to share between simulation replications. The trails
-of the beta path cover come from `cover.min_trail_cover`.
+construction and safe to share between simulation replications; their
+route table is computed on first read, cached, and never changes. One
+breadth-first search serves both the connectivity check and the routes.
+The trails of the beta path cover come from `cover.min_trail_cover`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +39,8 @@ class Topology:
     fibers: list[tuple[int, int]]     # fiber k = (a, b); its forward link runs a -> b
     slice_count: int
     links: list[Link] = field(init=False)
-    # per-node list of outgoing link ids, sorted by (dst, id)
-    adjacency: list[list[int]] = field(init=False)
+    # per node, the sorted (dst, id) pairs of its outgoing links
+    adjacency: list[list[tuple[int, int]]] = field(init=False)
 
     def __post_init__(self):
         if self.node_count <= 0:
@@ -58,10 +61,11 @@ class Topology:
             raise TopologyError("graph is not connected")
         self.adjacency = [[] for _ in range(self.node_count)]
         for ln in self.links:
-            self.adjacency[ln.src].append(ln.id)
+            self.adjacency[ln.src].append((ln.dst, ln.id))
         for lst in self.adjacency:
-            lst.sort(key=lambda i: (self.links[i].dst, i))
-        self._check_connected()
+            lst.sort()
+        if len(_reached_by(self, 0)) != self.node_count:
+            raise TopologyError("graph is not connected")
 
     @property
     def fiber_count(self) -> int:
@@ -71,18 +75,11 @@ class Topology:
     def link_count(self) -> int:
         return len(self.links)
 
-    def _check_connected(self):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for lid in self.adjacency[u]:
-                v = self.links[lid].dst
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != self.node_count:
-            raise TopologyError("graph is not connected")
+    @cached_property
+    def routes(self) -> dict[tuple[int, int], list[int]]:
+        """`all_pairs_routes` of this topology, computed on first read and
+        shared by every reader after it."""
+        return all_pairs_routes(self)
 
 
 def _json_int(value, what: str) -> int:
@@ -117,41 +114,43 @@ def load_topology(path: str) -> Topology:
     return Topology(name, nodes, fibers, slices)
 
 
+def _reached_by(t: Topology, src: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first search from `src`: each node it reaches, in the order
+    reached, mapped to the (predecessor, link id) it was first reached by;
+    `src` itself maps to (src, -1). Each level is expanded in node order and
+    each node's links in (dst, id) order."""
+    via = {src: (src, -1)}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, lid in t.adjacency[u]:
+                if v not in via:
+                    via[v] = (u, lid)
+                    nxt.append(v)
+        frontier = sorted(nxt)
+    return via
+
+
 def all_pairs_routes(t: Topology) -> dict[tuple[int, int], list[int]]:
     """The fixed minimum-hop route, as directed link ids, for every ordered
     node pair.
 
     Ties are broken by choosing the lowest-index predecessor at every step
     (and the lowest link id between a node pair), so routes are identical
-    run to run: the breadth-first search expands each level in node order
-    and each node's links in (dst, id) order, so the first link to reach a
-    node is the one the rule picks.
+    run to run: `_reached_by` expands each level in node order and each
+    node's links in (dst, id) order, so the first link to reach a node is
+    the one the rule picks.
     """
     routes = {}
     for src in range(t.node_count):
-        parent_link = [-1] * t.node_count
-        seen = {src}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for lid in t.adjacency[u]:
-                    v = t.links[lid].dst
-                    if v not in seen:
-                        seen.add(v)
-                        parent_link[v] = lid
-                        nxt.append(v)
-            frontier = sorted(nxt)
+        hops = {}
+        # a predecessor is reached before the nodes it leads to
+        for v, (u, lid) in _reached_by(t, src).items():
+            hops[v] = hops[u] + [lid] if v != src else []
         for dst in range(t.node_count):
-            if dst == src:
-                continue
-            route = []
-            v = dst
-            while v != src:
-                route.append(parent_link[v])
-                v = t.links[parent_link[v]].src
-            route.reverse()
-            routes[(src, dst)] = route
+            if dst != src:
+                routes[src, dst] = hops[dst]
     return routes
 
 
@@ -201,7 +200,7 @@ def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPat
     returned with the warning flag set.
     """
     # per node, (neighbour, fiber id) in sorted order: the link order of adjacency
-    adj = [[(t.links[lid].dst, lid // 2) for lid in out] for out in t.adjacency]
+    adj = [[(v, lid // 2) for v, lid in out] for out in t.adjacency]
     trails = min_trail_cover(adj, t.fibers)
 
     warning = False

@@ -4,13 +4,15 @@ bench/trace_layers.py patches every callable in its TARGETS by name and
 stops when one is missing, and bench/checks.py pins the per-sample CSV
 header and the metric names of the summaries. Its simulation check wraps
 `allocate` and `release` on a Simulation's own SpectrumState and reads
-`.route` and `.range.width` off every active connection. A deletion or
-rename that would break the benchmark fails here first. The bench sources
+`.route` and `.range.width` off every active connection, and bench/run.py
+builds Simulations for its state checks. A deletion, rename or signature
+change that would break the benchmark fails here first. The bench sources
 are parsed, not imported, so the test never writes into bench/.
 """
 
 import ast
 import importlib
+import inspect
 import os
 
 from conftest import data_file
@@ -22,11 +24,14 @@ from fragsim.traffic import DemandProfile
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
+def bench_tree(module):
+    with open(os.path.join(BENCH, module + ".py")) as fh:
+        return ast.parse(fh.read())
+
+
 def bench_assignment(module, name):
     """The value node assigned to `name` at the top level of bench/<module>.py."""
-    with open(os.path.join(BENCH, module + ".py")) as fh:
-        tree = ast.parse(fh.read())
-    for node in tree.body:
+    for node in bench_tree(module).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return node.value
@@ -44,6 +49,26 @@ def test_trace_targets_resolve():
         else:
             target = getattr(owner, qualname, None)
         assert callable(target), f"{mod_name}.{qualname}"
+
+
+def test_bench_simulation_calls_bind():
+    # every Simulation(...) in bench/, bound argument by argument (the
+    # argument expressions stand in for their values)
+    signature = inspect.signature(Simulation)
+    calls = 0
+    for name in sorted(os.listdir(BENCH)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(bench_tree(name[:-3])):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "Simulation":
+                continue
+            where = f"bench/{name} line {node.lineno}"
+            assert not any(isinstance(a, ast.Starred) for a in node.args), where
+            assert all(k.arg for k in node.keywords), where
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            calls += 1
+    assert calls, "no Simulation(...) call found in bench/"
 
 
 def test_sample_csv_header_matches_bench():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import data_file, free_counts
-from fragsim.engine import (Simulation, make_grid, mean_ci99, run_steady_sweep,
-                            run_transient, run_utilization_scan, t99)
+from fragsim.engine import (Connection, Simulation, make_grid, mean_ci99,
+                            run_steady_sweep, run_transient, run_utilization_scan, t99)
 from fragsim.metrics import left_sum
 from fragsim.spectrum import SliceRange
 from fragsim.topology import (Topology, all_pairs_routes, build_beta_paths,
@@ -109,17 +109,33 @@ class TestDeparture:
         # the heap entry, not the id, is the record of a connection: two
         # admitted demands with one id both leave, each with its own slices
         sim = make_sim(pair)
-        first = sim.step_arrival(Demand(0, 0, 1, 1, 0.0, 1.0))
-        assert first is not None
-        assert sim.step_arrival(Demand(0, 0, 1, 1, 0.5, 1.0)) is not None
-        assert sim.state.occ[sim.routes[0, 1][0]] == 0b11
+        route = sim.routes[0, 1]
+        first = sim.step_arrival(Demand(0, 0, 1, 1, 0.0, 5.0))
+        assert first == Connection(route, 0b1)
+        # the second leaves first, so it heads the heap; the answer is still
+        # the loop's own, not the older connection with its id
+        assert sim.step_arrival(Demand(0, 0, 1, 1, 0.5, 1.0)) == Connection(route, 0b10)
+        assert sim.state.occ[route[0]] == 0b11
         view = sim.connections
         view.clear()  # a copy: the simulation keeps its connections
         view[7] = first
         assert len(sim.queue.heap) == 2 and 7 not in sim.connections
-        assert sim.step_arrival(too_wide(pair, 1, 2.0)) is None
+        assert sim.step_arrival(too_wide(pair, 1, 5.0)) is None
         assert sim.state.occ == [0] * pair.link_count
         assert not sim.queue.heap and not sim.connections
+
+    def test_step_arrival_does_not_read_the_view(self, pair, monkeypatch):
+        # the answer comes from the loop in O(1), not from the O(active) view
+        def no_view(sim):
+            raise AssertionError("step_arrival read Simulation.connections")
+
+        monkeypatch.setattr(Simulation, "connections", property(no_view))
+        sim = make_sim(pair)
+        route = sim.routes[0, 1]
+        assert sim.step_arrival(Demand(0, 0, 1, 6, 0.0, 1.0)) == Connection(route, 0x3F)
+        assert sim.step_arrival(Demand(1, 0, 1, 3, 0.5, 1.0)) is None
+        assert sim.step_arrival(Demand(2, 0, 1, 2, 0.5, 1.0)) == Connection(route, 0xC0)
+        assert (sim.total_requests, sim.blocked_requests) == (3, 1)
 
 
 class TestInvariants:
@@ -391,13 +407,14 @@ class TestRunners:
 
     def test_replications_share_one_route_table(self, chain4, monkeypatch):
         import fragsim.engine as engine
+        import fragsim.topology as topology
         calls = []
 
         def counting_routes(t):
             calls.append(t)
             return all_pairs_routes(t)
 
-        monkeypatch.setattr(engine, "all_pairs_routes", counting_routes)
+        monkeypatch.setattr(topology, "all_pairs_routes", counting_routes)
         paths = build_beta_paths(chain4)
         grid = make_grid([5.0, 10.0], [2], seed=4)
         tables = engine._replicate(chain4, paths, grid, 3, lambda sim: sim.routes)

@@ -446,7 +446,7 @@ class TestSnapshotReport:
             chequered.occ[lid] = sum(1 << j for j in range(lid % 2, t.slice_count, 2))
         for st in (empty, full, chequered):
             self.assert_matches_components(st, ps, b)
-        sim = Simulation(t, DemandProfile.resolve(16, 3, load=60.0), ps, bounds=b)
+        sim = Simulation(t, DemandProfile.resolve(16, 3, load=60.0), ps)
         for _ in range(20):
             sim.run(40, sample_every=41)
             self.assert_matches_components(sim.state, ps, b)
@@ -575,7 +575,7 @@ class TestBatchReports:
         b = compute_bounds(t, ps)
         states = list(TestFreeRuns.states(t, random.Random(len(name))))
         for load in (20.0, 80.0, 400.0):
-            sim = Simulation(t, DemandProfile.resolve(8, 2, load=load), ps, bounds=b)
+            sim = Simulation(t, DemandProfile.resolve(8, 2, load=load), ps)
             for _ in range(3):
                 sim.run(60, sample_every=61)
                 st = SpectrumState(t.link_count, t.slice_count)
