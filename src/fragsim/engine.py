@@ -12,8 +12,12 @@ and returns them, so the loop builds no `SliceRange` and keeps no dict in
 step with the heap. `step_arrival` answers from the loop's own (route,
 mask); `Simulation.connections` is an inspection view of the heap, built
 when read in O(active). The routes are the topology's cached table.
-A sample saves the bitmaps and the counters; the saved states are scored
-SAMPLE_BATCH at a time by one `snapshot_reports` call, and whatever is
+A sample saves a copy of the bitmap list and the counters, and the count
+of its new bitmaps: the links whose int is not the previous pending
+sample's. The saved states are scored a batch at a time by one
+`snapshot_reports` call, which scans each distinct bitmap once; a batch
+ends once the next sample could take its distinct bitmaps past
+SAMPLE_BATCH states' worth, or at 2 * SAMPLE_BATCH samples. Whatever is
 still pending is scored before `run` or a runner returns; `clamp_events`
 counts the scored samples that were clamped. Runners below repeat
 replications with independent RNG streams. A sample's values are
@@ -29,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
+from operator import is_not
 from typing import NamedTuple
 
 import numpy as np
@@ -90,10 +95,14 @@ class Connection(NamedTuple):
 
 # arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
 BR_WINDOW = 1000
-# samples scored together by one snapshot_reports call. More states per
-# call share its fixed numpy cost, but its temporaries grow with the batch:
-# at 4 they stay near 0.1 MB on German and NSFNET states, while 8 raised the
-# benchmark's peak RSS by about 0.2 MB on sweep_nsfnet.
+# the states' worth of distinct bitmaps that one snapshot_reports call
+# scores, in at most 2 * SAMPLE_BATCH samples. More states per call share
+# its fixed numpy cost, but its link-run temporaries grow with the distinct
+# bitmaps and its trail temporaries with the samples: this keeps a call's
+# traced peak at 0.12-0.13 MB on German and NSFNET states, while a flat batch
+# of 8 raised the benchmark's peak RSS by 0.15-0.2 MB on sweep_nsfnet.
+# Steady NSFNET samples change nearly every link and stay 4 to a call;
+# transient German ones, 5 arrivals apart, reach 8.
 SAMPLE_BATCH = 4
 
 
@@ -126,7 +135,8 @@ class Simulation:
         self.clock = 0.0
         self._window = deque(maxlen=BR_WINDOW)
         self.samples: list[Sample] = []
-        # (t, arrivals, occ copy, br_tr, br_tr_win) of samples not yet scored
+        # (t, arrivals, occ copy, br_tr, br_tr_win, new bitmaps) of samples
+        # not yet scored
         self._pending: list[tuple] = []
 
     @property
@@ -184,10 +194,15 @@ class Simulation:
     def take_sample(self) -> None:
         """Save the spectrum and the counters for a sample; its report is
         computed with those of other pending samples, in `flush_samples`."""
-        window = self._window
-        self._pending.append((self.clock, self.total_requests, self.state.occ.copy(),
-                              self.br_tr(), sum(window) / len(window) if window else 0.0))
-        if len(self._pending) >= SAMPLE_BATCH:
+        window, pending = self._window, self._pending
+        occ = self.state.occ.copy()
+        # the links whose int is not the previous sample's: SpectrumState
+        # replaces a link's int exactly when the link changes
+        new = sum(map(is_not, occ, pending[-1][2])) if pending else len(occ)
+        pending.append((self.clock, self.total_requests, occ, self.br_tr(),
+                        sum(window) / len(window) if window else 0.0, new))
+        if (len(pending) >= 2 * SAMPLE_BATCH
+                or sum(p[5] for p in pending) + len(occ) > SAMPLE_BATCH * len(occ)):
             self.flush_samples()
 
     def flush_samples(self) -> None:
@@ -198,7 +213,7 @@ class Simulation:
         reports = snapshot_reports([p[2] for p in pending], self.state.slice_count,
                                    self.paths, self.bounds)
         self.samples += (Sample(t, arrivals, rep, br_tr, br_tr_win) for
-                         (t, arrivals, _, br_tr, br_tr_win), rep in zip(pending, reports))
+                         (t, arrivals, _, br_tr, br_tr_win, _), rep in zip(pending, reports))
         pending.clear()
 
     def run(self, arrivals: int, sample_every: int) -> list[Sample]:

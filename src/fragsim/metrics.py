@@ -13,10 +13,13 @@ no-fragmentation convention (a fully busy spectrum is not fragmented).
 Alpha and beta both take longest free runs over the same free maps, alpha
 along each link's slices and beta along each trail's hops at every slice
 index. `snapshot_reports` scores a batch of saved states together:
-`_batch_runs` packs the free maps of every state into one bit string, finds
-every link run with one edge pass over it, and bit-slices the trails (an
-OR of ANDs over consecutive hops per run length) instead of walking each
-(trail, slice) column. Its link runs feed both alpha and lefm.
+`_batch_runs` packs the free map of each distinct link bitmap of the batch
+into one bit string, finds every link run with one edge pass over it, and
+bit-slices the trails (an OR of ANDs over consecutive hops per run length)
+instead of walking each (trail, slice) column. A bitmap that a link keeps
+from one state to the next is packed and scanned once; every (state, link)
+reads its results through one index. Its link runs feed both alpha and
+lefm.
 snapshot_report is snapshot_reports on a batch of one, and compute_alpha,
 compute_beta and compute_lefm wrap the same private helpers, so each gives
 exactly the value snapshot_report reports.
@@ -27,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
-from operator import and_, or_
+from itertools import chain, compress, repeat
+from operator import and_, is_not, or_
 
 import numpy as np
 
@@ -89,27 +92,50 @@ def _batch_runs(occupancies: list[list[int]], slice_count: int, hop_index: np.nd
     links) arrays, and per (trail, slice index) the longest run of free hops
     (CN) and the free hop count (AS), as (states x trails x slices) arrays.
 
-    The free maps of all states are packed into one bit string, one row per
-    link and each row at least one busy pad bit longer than the spectrum, so
-    no run crosses a row."""
-    states, links = len(occupancies), len(occupancies[0])
+    Each distinct bitmap of the batch is packed and scanned once, and every
+    (state, link) gathers its results through `_distinct`'s index. Every
+    state also holds a fully busy last link, the hop that pads short
+    trails. The free maps are packed into one bit string, one row per
+    distinct bitmap and each row at least one busy pad bit longer than the
+    spectrum, so no run crosses a row."""
+    full = (1 << slice_count) - 1
+    bitmaps, index = _distinct(occupancies, full)
+    rows = len(bitmaps)
     nbytes = slice_count // 8 + 1
-    size = states * links * nbytes
-    busy = b"".join(map(int.to_bytes, chain.from_iterable(occupancies),
-                        repeat(nbytes), repeat("little")))
-    spectra = ((1 << slice_count) - 1).to_bytes(nbytes, "little") * (states * links)
+    size = rows * nbytes
+    busy = b"".join(map(int.to_bytes, bitmaps, repeat(nbytes), repeat("little")))
+    spectra = full.to_bytes(nbytes, "little") * rows
     free = int.from_bytes(busy, "little") ^ int.from_bytes(spectra, "little")
     # each temporary is dropped once used: the batch's can set the peak RSS
     del busy, spectra
-    rows = np.frombuffer(free.to_bytes(size, "little"), dtype=np.uint8).reshape(
-        states, links, nbytes)
-    longest, count = _link_runs(free, size, (states, links), 8 * nbytes)
+    packed = np.frombuffer(free.to_bytes(size, "little"), dtype=np.uint8).reshape(rows, nbytes)
+    longest, count = _link_runs(free, size, rows, 8 * nbytes)
     del free
-    return (longest, count, *_trail_counts(rows, slice_count, hop_index))
+    link_index = index[:-1].T
+    return (longest[link_index], count[link_index],
+            *_trail_counts(packed, index[hop_index.T], slice_count))
 
 
-def _link_runs(free: int, size: int, shape: tuple[int, int], width: int):
-    """Longest run of one bits and one-bit count of each (state, link) row
+def _distinct(occupancies: list[list[int]], pad: int) -> tuple[list[int], np.ndarray]:
+    """The distinct bitmaps of a batch, link by link and then the one of
+    `pad`, a last link that every state holds, and the index among them of
+    each (link, state) cell's bitmap, as a (links + 1 x states) array.
+
+    Cells are taken link by link, each link's in state order, and a cell
+    whose int is the one before it repeats it, so its index is that of the
+    last new cell. `SpectrumState` replaces a link's int exactly when the
+    link changes, so a link that kept its spectrum between two states
+    repeats; equal ints held as distinct objects count twice."""
+    states = len(occupancies)
+    cells = list(chain.from_iterable(zip(*occupancies)))
+    cells += [pad] * states
+    keep = [True] + list(map(is_not, cells[1:], cells))
+    rank = np.cumsum(np.frombuffer(bytes(keep), dtype=bool))
+    return list(compress(cells, keep)), (rank - 1).reshape(-1, states)
+
+
+def _link_runs(free: int, size: int, rows: int, width: int):
+    """Longest run of one bits and one-bit count of each of the `rows` rows
     of `width` bits in `free`, a bit string of `size` bytes.
 
     One XOR of the bit string with itself shifted by one marks where every
@@ -122,38 +148,38 @@ def _link_runs(free: int, size: int, shape: tuple[int, int], width: int):
     starts, lengths = edges[::2], edges[1::2]
     lengths -= starts
     starts[:] = starts / width
-    longest = np.zeros(shape[0] * shape[1], dtype=np.intp)
+    longest = np.zeros(rows, dtype=np.intp)
     np.maximum.at(longest, starts, lengths)
     # float64 counts, exact below 2**53
-    count = np.bincount(starts, weights=lengths, minlength=longest.size)
-    return longest.reshape(shape), count.reshape(shape)
+    return longest, np.bincount(starts, weights=lengths, minlength=rows)
 
 
-def _trail_counts(rows: np.ndarray, slice_count: int, hop_index: np.ndarray):
+def _trail_counts(packed: np.ndarray, at: np.ndarray, slice_count: int):
     """CN and AS of every (state, trail, slice index), from the packed free
-    maps `rows` (states x links x bytes).
+    maps (bitmaps x bytes) and `at`, the row in `packed` of hop i of each
+    (trail, state) (hops x trails x states).
 
     Trails are bit-sliced: hop i of every (trail, state) is one int, and
     layer r holds the slices where some r consecutive hops are free, the OR
     over i of the AND of hops i to i+r-1. Layers are nested, so CN counts
     the layers that hold a slice, and AS the hops that do."""
-    states, links, nbytes = rows.shape
-    trails, span = hop_index.shape
+    span, trails, states = at.shape
+    nbytes = packed.shape[1]
     shape = (trails, states, nbytes)
     size = trails * states * nbytes
-    # hop-major, with a busy row last for the -1 padding of hop_index
-    padded = np.zeros((links + 1, states, nbytes), dtype=np.uint8)
-    padded[:links] = rows.transpose(1, 0, 2)
-    packed = padded[hop_index.T].tobytes()
-    del padded
-    hops = [int.from_bytes(packed[i * size:(i + 1) * size], "little") for i in range(span)]
+    hop_maps = packed[at].tobytes()
+    hops = [int.from_bytes(hop_maps[i * size:(i + 1) * size], "little") for i in range(span)]
     layers = []
     window = hops                   # before layer r: AND of hops i .. i+r-1
     for r in range(span):
         layers.append(reduce(or_, window))
         window = list(map(and_, window, hops[r + 1:]))
-    cn = _bit_counts(b"".join(m.to_bytes(size, "little") for m in layers), span, shape)
-    avail = _bit_counts(packed, span, shape)
+    nested = b"".join(m.to_bytes(size, "little") for m in layers)
+    # dropped before counting: the unpacked bits of a count set the peak
+    del hops, window, layers
+    cn = _bit_counts(nested, span, shape)
+    del nested
+    avail = _bit_counts(hop_maps, span, shape)
     # (trails, states, bits) -> (states, trails, slices)
     return [c[..., :slice_count].transpose(1, 0, 2) for c in (cn, avail)]
 

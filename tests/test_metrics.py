@@ -8,7 +8,7 @@ import pytest
 
 from conftest import data_file, free_counts
 from fragsim.engine import Simulation
-from fragsim.metrics import (_NO_TRAILS, FragmentationReport, MetricBounds, _batch_runs,
+from fragsim.metrics import (_NO_TRAILS, FragmentationReport, MetricBounds, _batch_runs, _distinct,
                              left_sum, adapted_components, beta_path_bound, compute_alpha,
                              compute_beta, compute_bounds, compute_lefm,
                              compute_vfm, normalize, raw_nvfm, snapshot_report,
@@ -529,6 +529,47 @@ class TestFreeRuns:
         ps = BetaPathSet([[4, 2, 0], [1], [3, 5]], [[0] * 4, [0] * 2, [0] * 3])
         assert ps.hop_index.tolist() == [[4, 2, 0], [1, -1, -1], [3, 5, -1]]
         assert BetaPathSet([], []).hop_index.shape == (0, 0)
+
+    @pytest.mark.parametrize("batch", ["repeats", "across_links"])
+    def test_repeated_bitmaps(self, batch):
+        # taken link by link, a cell repeats when its int is the one before
+        # it: the same link's in the previous state or, at a link's first
+        # state, the previous link's in the last state. Each distinct
+        # bitmap is scanned once and every state reads its own through the
+        # index
+        t = load_topology(data_file("german.json"))
+        ps = build_beta_paths(t)
+        s, n = t.slice_count, t.link_count
+        rnd = random.Random(18)
+        # never a cached small int, and never all busy
+        base = [rnd.getrandbits(s - 1) | 1 << 64 for _ in range(n)]
+        one_changed = list(base)
+        one_changed[7] ^= 1 << 3
+        # equal values held as distinct objects
+        equal_copies = [(x << 1) >> 1 for x in one_changed]
+        assert all(map(operator.is_not, equal_copies, one_changed))
+        if batch == "repeats":
+            occs = [base, base, one_changed, [0] * n, [(1 << s) - 1] * n,
+                    [(1 << s) - 1 for _ in range(n)], equal_copies, list(equal_copies)]
+            # per link: its base, its changed bit on link 7, then the empty,
+            # the full, the distinct full and the equal copy; and the pad
+            expected = 5 * n + 2
+        else:
+            # link l > 0 starts with the 0 that link l - 1 ends with
+            occs = [[0] * n, one_changed, [0] * n]
+            expected = 2 * n + 2
+        bitmaps, index = _distinct(occs, (1 << s) - 1)
+        assert len(bitmaps) == expected
+        assert index.shape == (n + 1, len(occs))
+        assert [bitmaps[i] for i in index[:-1].T.ravel().tolist()] == [x for occ in occs
+                                                                        for x in occ]
+        states = []
+        for occ in occs:
+            st = SpectrumState(n, s)
+            st.occ = occ
+            states.append(st)
+        self.check(states, ps)
+        TestBatchReports.assert_batches_match(states, ps, compute_bounds(t, ps))
 
     def test_simulated_german_states(self):
         t = load_topology(data_file("german.json"))
