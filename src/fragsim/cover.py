@@ -17,67 +17,55 @@ import itertools
 EXHAUSTIVE_ODD = 10
 
 
-def _euler_trail(adj: list[list[tuple[int, int]]], fiber_count: int,
-                 pairing: list[tuple[int, int]], start: int) -> list[int]:
-    """Edge ids, in order, of the Euler trail from `start` (Hierholzer) over
-    the fibers in `adj` plus virtual edge fiber_count + i joining pair i of
-    `pairing`. Each node is in at most one pair, and tries its edges in
-    (neighbour, edge id) order."""
-    adj = adj[:]
-    for i, (a, b) in enumerate(pairing):
-        adj[a] = sorted(adj[a] + [(b, fiber_count + i)])
-        adj[b] = sorted(adj[b] + [(a, fiber_count + i)])
-    used = bytearray(fiber_count + len(pairing))
+def _euler_trail(adj: list[list[int]], ends: list[int], start: int, fiber_count: int,
+                 floor: int) -> tuple[tuple[int, int, int], list[int]] | None:
+    """(score, edge ids) of the Hierholzer trail from `start`. Edge e joins
+    u and u ^ ends[e]; adj[u] lists u's edges in the order tried, then
+    len(ends). The score is (shortest, -longest, -count) of the pieces that
+    edges >= fiber_count cut the trail into. The trail pops from its end:
+    a piece is final once the virtual edge before it pops, and a final
+    piece shorter than `floor` gives None."""
+    mark = len(ends)
+    used = bytearray(mark + 1)
     ptr = [0] * len(adj)
-    stack_nodes, stack_edges, out = [start], [], []
-    while stack_nodes:
-        u = stack_nodes[-1]
+    stack, out, pieces = [], [], []
+    run, u = 0, start
+    while True:
         lst = adj[u]
         i = ptr[u]
-        while i < len(lst) and used[lst[i][1]]:
+        while used[lst[i]]:
             i += 1
-        if i == len(lst):
-            ptr[u] = i
-            stack_nodes.pop()
-            if stack_edges:
-                out.append(stack_edges.pop())
-        else:
-            v, eid = lst[i]
+        e = lst[i]
+        if e != mark:
             ptr[u] = i + 1
-            used[eid] = 1
-            stack_nodes.append(v)
-            stack_edges.append(eid)
-    out.reverse()
-    return out
-
-
-def _score(edges: list[int], fiber_count: int) -> tuple[int, int, int]:
-    """(shortest, -longest, -count) of the trails the virtual edges cut
-    `edges` into; higher is more balanced."""
-    lengths, run = [], 0
-    for eid in edges:
-        if eid < fiber_count:
-            run += 1
+            used[e] = 1
+            stack.append(e)
+            u ^= ends[e]
+        elif stack:
+            ptr[u] = i
+            e = stack.pop()
+            u ^= ends[e]
+            out.append(e)
+            if e < fiber_count:
+                run += 1
+            elif run < floor:
+                return None
+            else:
+                pieces.append(run)
+                run = 0
         else:
-            lengths.append(run)
-            run = 0
-    lengths.append(run)
-    return min(lengths), -max(lengths), -len(lengths)
+            break
+    pieces.append(run)
+    return (min(pieces), -max(pieces), -len(pieces)), out[::-1]
 
 
-def _cut(fibers: list[tuple[int, int]], edges: list[int], pairing: list[tuple[int, int]],
-         start: int) -> list[list[int]]:
+def _cut(ends: list[int], fiber_count: int, edges: list[int], start: int) -> list[list[int]]:
     """Node lists of the trails the virtual edges cut the Euler trail
     `edges` from `start` into."""
-    F = len(fibers)
-    ends = fibers + pairing
-    trails = []
-    u = start
-    cur = [u]
-    for eid in edges:
-        a, b = ends[eid]
-        u = b if u == a else a
-        if eid < F:
+    trails, cur, u = [], [start], start
+    for e in edges:
+        u ^= ends[e]
+        if e < fiber_count:
             cur.append(u)
         else:
             trails.append(cur)
@@ -87,35 +75,45 @@ def _cut(fibers: list[tuple[int, int]], edges: list[int], pairing: list[tuple[in
 
 
 def _pairings(lst):
+    """Each split of `lst` into pairs: lst[0] with each later item in turn."""
     if not lst:
         yield []
-        return
-    a = lst[0]
     for i in range(1, len(lst)):
         for rest in _pairings(lst[1:i] + lst[i + 1:]):
-            yield [(a, lst[i])] + rest
+            yield [(lst[0], lst[i])] + rest
 
 
-def _exhaustive(adj, fiber_count: int, odd: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """(start, pairing) of the first best-scoring candidate, in (endpoint
-    pair, pairing of the other odd nodes) enumeration order.
-
-    Every candidate cuts into exactly k = len(odd) / 2 trails: an odd node
-    ends an odd number of trails, so there are at least k, and k - 1 cuts
-    make at most k. No score can beat (F // k, -ceil(F / k), -k), so the
-    first candidate that reaches it is the first maximum and ends the
-    search."""
-    F, k = fiber_count, len(odd) // 2
-    ideal = (F // k, -F // k, -k)
-    best = None
-    for e1, e2 in itertools.combinations(odd, 2):
-        for pairing in _pairings([u for u in odd if u not in (e1, e2)]):
-            score = _score(_euler_trail(adj, F, pairing, e1), F)
-            if best is None or score > best[0]:
-                best = (score, e1, pairing)
-                if score == ideal:
-                    return e1, pairing
-    return best[1], best[2]
+def _exhaustive(adj, fibers: list[tuple[int, int]], odd: list[int]) -> list[list[int]]:
+    """Node lists of the first best-scoring candidate in (endpoint pair,
+    pairing of the other odd nodes) order; with no odd node, of the closed
+    trail from node 0. Virtual edge F + p joins pairs[p], after the fibers
+    between its ends; each end's list with it is built once. A candidate
+    cuts into k = len(odd) / 2 trails (each odd node ends an odd number).
+    A walk stops at a piece shorter than the best's shortest, which cannot
+    win, so covers are those of full walks. No score beats (F // k,
+    -ceil(F / k), -k): the first to reach it ends the search."""
+    F, k = len(fibers), max(1, len(odd) // 2)
+    pairs = list(itertools.combinations(odd, 2))
+    ends = [a ^ b for a, b in fibers + pairs]
+    mark = [len(ends)]
+    ids = [[e for _, e in lst] + mark for lst in adj]
+    own = {(a, b): [[e for _, e in sorted(adj[u] + [(v, F + p)])] + mark
+                    for u, v in ((a, b), (b, a))] for p, (a, b) in enumerate(pairs)}
+    patterns = list(_pairings(list(range(len(odd) - 2))))
+    ideal, best = (F // k, -F // k, -k), ((0,), [], 0)
+    for e1, e2 in pairs or [(0, 0)]:
+        rest = [u for u in odd if u not in (e1, e2)]
+        cand = ids[:]
+        for pattern in patterns:
+            for i, j in pattern:
+                a, b = rest[i], rest[j]
+                cand[a], cand[b] = own[a, b]
+            walk = _euler_trail(cand, ends, e1, F, best[0][0])
+            if walk and walk[0] > best[0]:
+                best = *walk, e1
+                if walk[0] == ideal:
+                    return _cut(ends, F, walk[1], e1)
+    return _cut(ends, F, best[1], best[2])
 
 
 def _end_fibers(adj, odd: list[int]) -> dict[int, int]:
@@ -229,11 +227,9 @@ def min_trail_cover(adj: list[list[tuple[int, int]]],
                     fibers: list[tuple[int, int]]) -> list[list[int]]:
     """Node lists of a minimum trail cover of a connected graph, by the rule
     `topology.build_beta_paths` documents."""
-    F = len(fibers)
     odd = [u for u, lst in enumerate(adj) if len(lst) % 2 == 1]
     if len(odd) > EXHAUSTIVE_ODD:
         tn, tf = _walked_cover(adj, fibers, odd)
         _balance(tn, tf)
         return tn
-    start, pairing = _exhaustive(adj, F, odd) if odd else (0, [])
-    return _cut(fibers, _euler_trail(adj, F, pairing, start), pairing, start)
+    return _exhaustive(adj, fibers, odd)

@@ -186,14 +186,14 @@ def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPat
     continuity information.
 
     Up to 10 odd nodes, k-1 virtual edges pair up odd nodes so one Euler
-    trail exists, and cutting it at the virtual edges yields the k trails.
-    Every choice of endpoints and pairing is tried in a fixed order and the
-    first to maximise (shortest, -longest, -count) of the trail lengths is
-    kept; the search stops early at the best possible score. Above 10 odd
-    nodes, in polynomial time: each odd node is matched to a fiber of its
-    own to end its trail on, which avoids one-hop trails wherever any
-    minimum cover does, and 2-opt swaps where two trails meet then balance
-    the lengths.
+    trail exists, cut at them into the k trails. Each choice of endpoints
+    and pairing is tried in a fixed order; the first to maximise (shortest,
+    -longest, -count) of the trail lengths is kept. The search stops at the
+    best possible score, and a walk at a final trail shorter than the
+    best's shortest, so the covers are those of full walks. Above 10 odd
+    nodes, in polynomial time: each odd node ends its trail on a fiber of
+    its own, which avoids one-hop trails wherever any minimum cover does,
+    and 2-opt swaps where two trails meet then balance the lengths.
 
     When requested_count exceeds the minimum, trails are split to reach the
     requested cardinality; when it cannot be met the achieved cover is

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import data_file, write_topology
-from reference import ref_best_cover, ref_one_hop_avoidable
+from reference import _ref_pairings, ref_best_cover, ref_one_hop_avoidable
+from fragsim import cover
 from fragsim.topology import (BetaPathSet, Topology, TopologyError,
                               all_pairs_routes, build_beta_paths,
                               load_beta_paths, load_topology)
@@ -213,6 +214,49 @@ class TestBetaPaths:
             assert ps.node_paths == ref_best_cover(n, fibers), fibers
             assert len(ps.paths) == max(1, odd // 2), fibers
             checked += 1
+
+    def test_matches_oracle_where_walks_stop_early(self, monkeypatch):
+        # 8 and 10 odd nodes: hundreds of candidates, most of whose walks stop
+        # at a piece shorter than the best's shortest
+        walk, stopped = cover._euler_trail, []
+
+        def counted(*args):
+            result = walk(*args)
+            stopped.append(result is None)
+            return result
+
+        monkeypatch.setattr(cover, "_euler_trail", counted)
+        rnd = random.Random(19)
+        parallel_at_odd = below_ideal = 0
+        for target, count in ((8, 6), (10, 5)):
+            done = 0
+            while done < count:
+                n = rnd.randint(target, 14)
+                fibers = random_fibers(rnd, n, rnd.randint(0, n))
+                fibers += rnd.sample(fibers, rnd.randint(0, 2))
+                if odd_count(n, fibers) != target:
+                    continue
+                expected = ref_best_cover(n, fibers)
+                assert build_beta_paths(Topology("rand", n, fibers, 4)).node_paths == expected, fibers
+                odd = {u for u in range(n) if sum(u in f for f in fibers) % 2}
+                parallel_at_odd += any(fibers.count(f) + fibers.count(f[::-1]) > 1 and set(f) & odd
+                                       for f in fibers)
+                k, hops = target // 2, [len(p) - 1 for p in expected]
+                below_ideal += (min(hops), -max(hops)) < (len(fibers) // k, -len(fibers) // k)
+                done += 1
+        assert parallel_at_odd and below_ideal and any(stopped)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_pairings_in_reference_order(self, n):
+        lst = [3 * i + 1 for i in range(n)]
+        assert list(cover._pairings(lst)) == list(_ref_pairings(lst))
+
+    def test_virtual_edge_after_parallel_fibers(self):
+        # the best pairing joins 0 and 3, which two fibers already join: the
+        # virtual edge 0-3 must come after both in the adjacency of 0 and 3
+        fibers = [(1, 0), (2, 0), (3, 0), (4, 3), (4, 0), (3, 0)]
+        ps = build_beta_paths(Topology("parallel", 5, fibers, 4))
+        assert ps.node_paths == ref_best_cover(5, fibers) == [[1, 0, 3, 0], [3, 4, 0, 2]]
 
     @pytest.mark.parametrize("n", [40, 80, 120])
     def test_large_covers_valid_and_without_one_hop_trails(self, n):
