@@ -173,6 +173,17 @@ def _write_metadata(cfg, out_dir, extra):
                   json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _processes(processes: int) -> dict:
+    """Metadata of the processes a runner's replications ran in. With forked
+    children (Linux only), also the peak resident set in MiB of the largest
+    child this process has waited for, which its own peak does not hold."""
+    if processes == 1:
+        return {"processes": 1}
+    import resource  # not on Windows, which never forks here
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+    return {"processes": processes, "worker_peak_rss_mb": round(peak, 3)}
+
+
 def cmd_snapshot(cfg, state_file) -> int:
     topo, paths = _load_inputs(cfg)
     with open(state_file) as fh:
@@ -220,7 +231,8 @@ def cmd_transient(cfg, _state_file) -> int:
             lines.append(f"{n},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "transient_summary.csv"), "\n".join(lines) + "\n")
     _write_metadata(cfg, out, {"experiment": "transient",
-                               "clamp_events": res.clamp_events})
+                               "clamp_events": res.clamp_events,
+                               **_processes(res.processes)})
     return 0
 
 
@@ -238,7 +250,8 @@ def cmd_sweep(cfg, _state_file) -> int:
                          f"{p.mean_holding:g},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     _write_metadata(cfg, out, {"experiment": "sweep",
-                               "clamp_events": sum(c.clamp_events for c in cells)})
+                               "clamp_events": sum(c.clamp_events for c in cells),
+                               **_processes(cells[0].processes)})
     return 0
 
 

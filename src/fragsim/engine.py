@@ -20,7 +20,13 @@ ends once the next sample could take its distinct bitmaps past
 SAMPLE_BATCH states' worth, or at 2 * SAMPLE_BATCH samples. Whatever is
 still pending is scored before `run` or a runner returns; `clamp_events`
 counts the scored samples that were clamped. Runners below repeat
-replications with independent RNG streams. A sample's values are
+replications with independent RNG streams. `_replicate` runs a runner's
+(profile, replication) tasks in forked children, one per usable CPU and
+at most one per task, when each child would run at least
+FORK_MIN_ARRIVALS arrivals, and otherwise one after another in this
+process. A task's stream is keyed by (seed, replication) alone and its
+results come back pickled, exactly, in task order, so every output is
+byte-identical either way. A sample's values are
 `Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
 Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
 them: replications x points x metrics for a transient, samples x metrics
@@ -29,6 +35,7 @@ per sweep window and replications x metrics per sweep cell.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -229,23 +236,52 @@ class Simulation:
         return self.samples[first:]
 
 
-def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProfile],
-               replications: int, drive) -> list[tuple[list, int]]:
-    """drive(sim) on one fresh Simulation per (profile, replication index),
-    as (results over replications, their summed clamp events) per profile.
+# The fewest arrivals that each forked child must run for `_replicate` to
+# fork: below it, the fork, the pages the children copy and the pickled
+# results cost more than the second CPU saves. On a 2-vCPU Xeon, two
+# children took, against the same tasks run in one process (median of 9):
+# German transients sampled every 5, 1.50x at 1,000 arrivals a child and
+# 0.76x at 2,000; NSFNET sweeps sampled every 100, 1.41x, 1.03x and 0.64x
+# at 1,000, 2,000 and 4,000.
+FORK_MIN_ARRIVALS = 2000
 
-    Every Simulation reads the topology's one route table. Each replication
-    index keys its own Philox stream, so every run is independent of the
-    others."""
+
+def _workers(tasks: int, arrivals: int) -> int:
+    """The forked children that run `tasks` tasks of `arrivals` arrivals
+    each: one per usable CPU and at most one per task. 0, to run them in
+    this process, where `os.fork` or `os.sched_getaffinity` is missing,
+    where one CPU is usable, or where some child would run fewer than
+    FORK_MIN_ARRIVALS arrivals."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    workers = min(len(os.sched_getaffinity(0)), tasks)
+    return workers if workers > 1 and tasks // workers * arrivals >= FORK_MIN_ARRIVALS else 0
+
+
+def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProfile],
+               replications: int, drive, arrivals: int) -> tuple[list[tuple[list, int]], int]:
+    """drive(sim) on one fresh Simulation per (profile, replication index),
+    as (results over replications, their summed clamp events) per profile,
+    and the number of processes they ran in.
+
+    Each drive processes `arrivals` arrivals, which sets whether the tasks
+    run in forked children (`_workers`, `parallel.replicate`) or one after
+    another here. Every Simulation reads the topology's one route table.
+    Each replication index keys its own Philox stream, so every run is
+    independent of the others and of the process that computes it."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    workers = _workers(len(profiles) * replications, arrivals)
+    if workers:
+        from . import parallel  # compiled only by a run that forks
+        return parallel.replicate(topology, paths, profiles, replications, drive, workers), workers
     out = []
     for p in profiles:
         # built one at a time, so each is freed once its run is done
         sims = (Simulation(topology, p, paths, replication=r) for r in range(replications))
         runs = [(drive(sim), sim.clamp_events) for sim in sims]
         out.append(([res for res, _ in runs], sum(c for _, c in runs)))
-    return out
+    return out, 1
 
 
 @dataclass
@@ -255,6 +291,7 @@ class TransientResult:
     series: dict[str, list[tuple[float, float]]]
     replication_samples: list[list[Sample]]
     clamp_events: int
+    processes: int  # the replications ran in: 1 in this one, else forked children
 
 
 def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
@@ -264,13 +301,15 @@ def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet
     if not 1 <= sample_every <= arrivals:
         raise ValueError(f"arrivals ({arrivals}) must be >= sample_every "
                          f"({sample_every}) >= 1, or the run takes no sample")
-    [(samples, clamps)] = _replicate(topology, paths, [profile], replications,
-                                     lambda sim: sim.run(arrivals, sample_every))
+    [(samples, clamps)], processes = _replicate(topology, paths, [profile], replications,
+                                                lambda sim: sim.run(arrivals, sample_every),
+                                                arrivals)
     mean, hw = mean_ci99([[s.values() for s in rep] for rep in samples])
     # (points x metrics) -> metric -> list over points of (mean, half-width)
     series = {name: list(zip(m, h)) for name, m, h
               in zip(SUMMARY_METRICS, mean.T.tolist(), hw.T.tolist())}
-    return TransientResult([s.arrivals for s in samples[0]], series, samples, clamps)
+    return TransientResult([s.arrivals for s in samples[0]], series, samples, clamps,
+                           processes)
 
 
 @dataclass
@@ -279,6 +318,7 @@ class SweepCell:
     # metric -> (mean, ci99 half-width) of the steady-state window average
     stats: dict[str, tuple[float, float]]
     clamp_events: int
+    processes: int  # the sweep's replications ran in: 1 in this one, else forked children
 
 
 def make_grid(loads: list[float] | None, max_demands: list[int], seed: int,
@@ -312,9 +352,10 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
         means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
         return means
 
-    cells = _replicate(topology, paths, profiles, replications, window_means)
+    cells, processes = _replicate(topology, paths, profiles, replications, window_means,
+                                  warmup + measure)
     stats = [zip(*(x.tolist() for x in mean_ci99(rows))) for rows, _ in cells]
-    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), clamps)
+    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), clamps, processes)
             for p, st, (_, clamps) in zip(profiles, stats, cells)]
 
 

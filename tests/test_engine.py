@@ -420,7 +420,7 @@ class TestRunners:
         monkeypatch.setattr(topology, "all_pairs_routes", counting_routes)
         paths = build_beta_paths(chain4)
         grid = make_grid([5.0, 10.0], [2], seed=4)
-        tables = engine._replicate(chain4, paths, grid, 3, lambda sim: sim.routes)
+        tables, _ = engine._replicate(chain4, paths, grid, 3, lambda sim: sim.routes, 0)
         seen = [table for results, _ in tables for table in results]
         assert len(calls) == 1 and len(seen) == 6
         assert all(table is seen[0] for table in seen)
