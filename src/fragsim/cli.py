@@ -173,15 +173,16 @@ def _write_metadata(cfg, out_dir, extra):
                   json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _processes(processes: int) -> dict:
-    """Metadata of the processes a runner's replications ran in. With forked
-    children (Linux only), also the peak resident set in MiB of the largest
-    child this process has waited for, which its own peak does not hold."""
-    if processes == 1:
-        return {"processes": 1}
-    import resource  # not on Windows, which never forks here
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
-    return {"processes": processes, "worker_peak_rss_mb": round(peak, 3)}
+def _processes(res):
+    """Metadata of the processes a runner's replications ran in and of the
+    demand streams they decoded and replayed. With forked children (Linux
+    only), also the peak resident set in MiB of the largest child."""
+    meta = {"processes": res.processes, "demand_streams": res.streams}
+    if res.processes > 1:
+        import resource  # not on Windows, which never forks here
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+        meta["worker_peak_rss_mb"] = round(peak, 3)
+    return meta
 
 
 def cmd_snapshot(cfg, state_file) -> int:
@@ -232,7 +233,7 @@ def cmd_transient(cfg, _state_file) -> int:
     _atomic_write(os.path.join(out, "transient_summary.csv"), "\n".join(lines) + "\n")
     _write_metadata(cfg, out, {"experiment": "transient",
                                "clamp_events": res.clamp_events,
-                               **_processes(res.processes)})
+                               **_processes(res)})
     return 0
 
 
@@ -251,7 +252,7 @@ def cmd_sweep(cfg, _state_file) -> int:
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     _write_metadata(cfg, out, {"experiment": "sweep",
                                "clamp_events": sum(c.clamp_events for c in cells),
-                               **_processes(cells[0].processes)})
+                               **_processes(cells[0])})
     return 0
 
 

@@ -7,30 +7,17 @@ fed by `run` from the stream and by `step_arrival` with one demand. Each
 demand first releases the connections due by its arrival time (also those
 due at it), then takes the first window free on its route or is blocked.
 An active connection is recorded once, as its departure heap entry
-(departure time, id, route, mask), route and mask as `SpectrumState` takes
-and returns them, so the loop builds no `SliceRange` and keeps no dict in
-step with the heap. `step_arrival` answers from the loop's own (route,
-mask); `Simulation.connections` is an inspection view of the heap, built
-when read in O(active). The routes are the topology's cached table.
-A sample saves a copy of the bitmap list and the counters, and the count
-of its new bitmaps: the links whose int is not the previous pending
-sample's. The saved states are scored a batch at a time by one
-`snapshot_reports` call, which scans each distinct bitmap once; a batch
-ends once the next sample could take its distinct bitmaps past
-SAMPLE_BATCH states' worth, or at 2 * SAMPLE_BATCH samples. Whatever is
-still pending is scored before `run` or a runner returns; `clamp_events`
-counts the scored samples that were clamped. Runners below repeat
-replications with independent RNG streams. `_replicate` runs a runner's
-(profile, replication) tasks in forked children, one per usable CPU and
-at most one per task, when each child would run at least
-FORK_MIN_ARRIVALS arrivals, and otherwise one after another in this
-process. A task's stream is keyed by (seed, replication) alone and its
-results come back pickled, exactly, in task order, so every output is
-byte-identical either way. A sample's values are
-`Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
-Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
-them: replications x points x metrics for a transient, samples x metrics
-per sweep window and replications x metrics per sweep cell.
+(departure time, id, route, mask), so the loop builds no `SliceRange` and
+keeps no dict in step with the heap. The routes are the topology's cached
+table. A sample saves a copy of the bitmap list and the counters; the
+saved states are scored a batch at a time by one `snapshot_reports` call
+(`take_sample`), and whatever is still pending is scored before `run` or a
+runner returns. The runners repeat replications through `_replicate`. A
+sample's values are `Sample.values`, in SUMMARY_METRICS order, and every
+summary (mean and 99% Student-t half-width) is one `mean_ci99` reduction
+over axis 0 of rows of them: replications x points x metrics for a
+transient, samples x metrics per sweep window and replications x metrics
+per sweep cell.
 """
 
 from __future__ import annotations
@@ -39,55 +26,18 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import chain, islice
 from operator import is_not
 from typing import NamedTuple
 
-import numpy as np
-
 # snapshot_report and all_pairs_routes are not called here;
 # bench/trace_layers.py and bench/selftest.py look them up in this module by name
-from .metrics import (METRICS, SUMMARY_METRICS, FragmentationReport,
-                      compute_bounds, left_sum, snapshot_report, snapshot_reports)
+from .metrics import (METRICS, SUMMARY_METRICS, FragmentationReport, compute_bounds,
+                      mean_ci99, snapshot_report, snapshot_reports)
 from .spectrum import SliceRange, SpectrumState
 from .topology import BetaPathSet, Topology, all_pairs_routes
-from .traffic import Demand, DemandGenerator, DemandProfile, EventQueue
-
-# two-sided 99% Student-t critical values for df 1..20
-_T99 = (63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
-        3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845)
-_Z995 = 2.5758293035489  # the standard normal 0.995 quantile
-
-
-def t99(df: int) -> float:
-    """Two-sided 99% Student-t critical value: the table up to df 20, above
-    it the Cornish-Fisher expansion of the quantile in 1/df to four terms
-    (within 3e-6 of the exact value for df > 20). There is none below df 1."""
-    if df < 1:
-        raise ValueError(f"t99 needs df >= 1, got {df}")
-    if df <= len(_T99):
-        return _T99[df - 1]
-    z, z2 = _Z995, _Z995 * _Z995
-    g = ((z2 + 1) * z / 4,
-         ((5 * z2 + 16) * z2 + 3) * z / 96,
-         (((3 * z2 + 19) * z2 + 17) * z2 - 15) * z / 384,
-         ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) * z / 92160)
-    return z + left_sum(gk / df ** k for k, gk in enumerate(g, 1))
-
-
-def mean_ci99(values) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and 99% confidence half-width over axis 0 (the replications) of
-    a float array. Both sums add left to right, as `left_sum` does:
-    np.add.accumulate is sequential along its axis. One value has no
-    spread to estimate, so its half-width is nan, not 0."""
-    a = np.asarray(values, dtype=float)
-    n = len(a)
-    mean = np.add.accumulate(a, axis=0)[-1] / n
-    if n < 2:
-        return mean, np.full(np.shape(mean), np.nan)
-    dev = a - mean
-    return mean, t99(n - 1) * np.sqrt(np.add.accumulate(dev * dev, axis=0)[-1] / (n - 1) / n)
-
+from .traffic import (Demand, DemandGenerator, DemandProfile, Draws, EventQueue,
+                      stream_groups)
 
 class Connection(NamedTuple):
     """An active connection: the link ids of its route and the bitmask of
@@ -130,12 +80,12 @@ class Simulation:
     """One replication of the dynamic-traffic experiment."""
 
     def __init__(self, topology: Topology, profile: DemandProfile,
-                 paths: BetaPathSet, replication: int = 0):
+                 paths: BetaPathSet, replication: int = 0, draws: Draws | None = None):
         self.paths = paths
         self.bounds = compute_bounds(topology, paths)
         self.routes = topology.routes
         self.state = SpectrumState(topology.link_count, topology.slice_count)
-        self.gen = DemandGenerator(profile, topology.node_count, replication)
+        self.gen = DemandGenerator(profile, topology.node_count, replication, draws)
         self.queue = EventQueue()
         self.total_requests = 0
         self.blocked_requests = 0
@@ -250,8 +200,8 @@ def _workers(tasks: int, arrivals: int) -> int:
     """The forked children that run `tasks` tasks of `arrivals` arrivals
     each: one per usable CPU and at most one per task. 0, to run them in
     this process, where `os.fork` or `os.sched_getaffinity` is missing,
-    where one CPU is usable, or where some child would run fewer than
-    FORK_MIN_ARRIVALS arrivals."""
+    where one CPU is usable, or where an even share of the tasks would give
+    some child fewer than FORK_MIN_ARRIVALS arrivals."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
     workers = min(len(os.sched_getaffinity(0)), tasks)
@@ -259,29 +209,46 @@ def _workers(tasks: int, arrivals: int) -> int:
 
 
 def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProfile],
-               replications: int, drive, arrivals: int) -> tuple[list[tuple[list, int]], int]:
-    """drive(sim) on one fresh Simulation per (profile, replication index),
-    as (results over replications, their summed clamp events) per profile,
-    and the number of processes they ran in.
+               replications: int, drive, arrivals: int) -> tuple[list, int, dict[str, int]]:
+    """drive(sim) on one fresh Simulation per (profile, replication index):
+    (results over replications, their summed clamp events) per profile, the
+    number of processes they ran in, and the numbers of demand streams
+    "decoded" and "replayed".
 
-    Each drive processes `arrivals` arrivals, which sets whether the tasks
-    run in forked children (`_workers`, `parallel.replicate`) or one after
-    another here. Every Simulation reads the topology's one route table.
-    Each replication index keys its own Philox stream, so every run is
-    independent of the others and of the process that computes it."""
+    The tasks run replication-major, and the profiles of a replication that
+    read one stream (`traffic`'s sharing rule) run side by side, as a group
+    that reads one `Draws`. Each drive processes `arrivals` arrivals, which
+    sets whether the groups run in forked children (`_workers`,
+    `parallel.replicate`) or one after another here."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    n = topology.node_count
+    groups = stream_groups(profiles, n, replications)
+
+    def run(groups):
+        # group by group, so that one Draws at a time holds a record
+        runs = []
+        for group in groups:
+            k, r = group[0]
+            draws = Draws(profiles[k], n, r) if len(group) > 1 else None
+            for k, r in group:
+                sim = Simulation(topology, profiles[k], paths, r, draws)
+                runs.append((k, drive(sim), sim.clamp_events))
+        return runs, len(groups)
+
     workers = _workers(len(profiles) * replications, arrivals)
     if workers:
         from . import parallel  # compiled only by a run that forks
-        return parallel.replicate(topology, paths, profiles, replications, drive, workers), workers
-    out = []
-    for p in profiles:
-        # built one at a time, so each is freed once its run is done
-        sims = (Simulation(topology, p, paths, replication=r) for r in range(replications))
-        runs = [(drive(sim), sim.clamp_events) for sim in sims]
-        out.append(([res for res, _ in runs], sum(c for _, c in runs)))
-    return out, 1
+        parts = parallel.replicate(run, groups, workers, topology)
+    else:
+        parts = [run(groups)]
+    results, clamps = [[] for _ in profiles], [0] * len(profiles)
+    for k, res, c in chain.from_iterable(runs for runs, _ in parts):
+        results[k].append(res)
+        clamps[k] += c
+    decoded = sum(d for _, d in parts)
+    return (list(zip(results, clamps)), workers or 1,
+            {"decoded": decoded, "replayed": len(profiles) * replications - decoded})
 
 
 @dataclass
@@ -292,6 +259,7 @@ class TransientResult:
     replication_samples: list[list[Sample]]
     clamp_events: int
     processes: int  # the replications ran in: 1 in this one, else forked children
+    streams: dict[str, int]  # demand streams "decoded" and "replayed"
 
 
 def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
@@ -301,15 +269,15 @@ def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet
     if not 1 <= sample_every <= arrivals:
         raise ValueError(f"arrivals ({arrivals}) must be >= sample_every "
                          f"({sample_every}) >= 1, or the run takes no sample")
-    [(samples, clamps)], processes = _replicate(topology, paths, [profile], replications,
-                                                lambda sim: sim.run(arrivals, sample_every),
-                                                arrivals)
+    [(samples, clamps)], processes, streams = _replicate(
+        topology, paths, [profile], replications, lambda sim: sim.run(arrivals, sample_every),
+        arrivals)
     mean, hw = mean_ci99([[s.values() for s in rep] for rep in samples])
     # (points x metrics) -> metric -> list over points of (mean, half-width)
     series = {name: list(zip(m, h)) for name, m, h
               in zip(SUMMARY_METRICS, mean.T.tolist(), hw.T.tolist())}
     return TransientResult([s.arrivals for s in samples[0]], series, samples, clamps,
-                           processes)
+                           processes, streams)
 
 
 @dataclass
@@ -319,6 +287,7 @@ class SweepCell:
     stats: dict[str, tuple[float, float]]
     clamp_events: int
     processes: int  # the sweep's replications ran in: 1 in this one, else forked children
+    streams: dict[str, int]  # the sweep's demand streams "decoded" and "replayed"
 
 
 def make_grid(loads: list[float] | None, max_demands: list[int], seed: int,
@@ -352,10 +321,10 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
         means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
         return means
 
-    cells, processes = _replicate(topology, paths, profiles, replications, window_means,
-                                  warmup + measure)
+    cells, processes, streams = _replicate(topology, paths, profiles, replications,
+                                           window_means, warmup + measure)
     stats = [zip(*(x.tolist() for x in mean_ci99(rows))) for rows, _ in cells]
-    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), clamps, processes)
+    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), clamps, processes, streams)
             for p, st, (_, clamps) in zip(profiles, stats, cells)]
 
 

@@ -15,35 +15,32 @@ import os
 import pickle
 import signal
 
-from .engine import Simulation
 
-
-def replicate(topology, paths, profiles, replications: int, drive, workers: int) -> list:
-    """`engine._replicate`'s (results over replications, summed clamp
-    events) per profile, its tasks run by `workers` forked children. What
-    each child would otherwise repeat is done here first: the topology's
-    route table, and numpy's lazy `numpy.random` import."""
+def replicate(run, groups: list, workers: int, topology) -> list:
+    """[run(part) for part in parts], each part run by one of `workers`
+    forked children: a contiguous run of `groups`, the task groups of
+    `engine._replicate` in its order, so that a group's tasks share one
+    process and one decoded stream. With fewer groups than children, the
+    groups are split into single tasks, each decoding its own stream. The
+    parts differ by at most one group. What each child would otherwise
+    repeat is done here first: the topology's route table, and numpy's lazy
+    `numpy.random` import."""
     import numpy.random  # noqa: F401 -- lazy in numpy 2: imported once here, not per child
     topology.routes  # noqa: B018 -- computed here once, not in every child
-    tasks = len(profiles) * replications
-
-    def run(i):
-        sim = Simulation(topology, profiles[i // replications], paths, i % replications)
-        return drive(sim), sim.clamp_events
-
-    runs = _run_forked(run, tasks, workers)
-    return [([res for res, _ in rs], sum(c for _, c in rs))
-            for rs in (runs[i:i + replications] for i in range(0, tasks, replications))]
+    if len(groups) < workers:
+        groups = [[task] for group in groups for task in group]
+    return _run_forked(run, [groups[len(groups) * k // workers:len(groups) * (k + 1) // workers]
+                             for k in range(workers)])
 
 
-def _child(run, tasks, w: int):
-    """In a forked child: write to fd `w` the pickled (None, [run(i) for i
-    in tasks]), or (exception, its traceback) if one is raised, and leave
-    through os._exit, so that none of the parent's code runs on after it."""
+def _child(run, part, w: int):
+    """In a forked child: write to fd `w` the pickled (None, run(part)), or
+    (exception, its traceback) if one is raised, and leave through
+    os._exit, so that none of the parent's code runs on after it."""
     status = 1
     try:
         try:
-            payload = pickle.dumps((None, [run(i) for i in tasks]))
+            payload = pickle.dumps((None, run(part)))
         except BaseException as exc:
             import traceback
             tb = traceback.format_exc()
@@ -58,28 +55,27 @@ def _child(run, tasks, w: int):
         os._exit(status)
 
 
-def _run_forked(run, tasks: int, workers: int) -> list:
-    """[run(i) for i in range(tasks)], run by `workers` forked children
-    that take the tasks round-robin. A child's exception is raised here
-    with its type and message, caused by its traceback. Every child is
-    reaped before this returns or raises; if it raises, the children still
-    running are killed first."""
-    results, children = [None] * tasks, []  # (pid, read end of its pipe)
+def _run_forked(run, parts: list) -> list:
+    """[run(part) for part in parts], each run by a forked child of its own.
+    A child's exception is raised here with its type and message, caused by
+    its traceback. Every child is reaped before this returns or raises; if
+    it raises, the children still running are killed first."""
+    results, children = [], []  # (pid, read end of its pipe)
     try:
-        for k in range(workers):
+        for part in parts:
             r, w = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
                     os.close(r)
-                    _child(run, range(k, tasks, workers), w)
+                    _child(run, part, w)
             except BaseException:
                 os.close(r)
                 raise
             finally:
                 os.close(w)
             children.append((pid, r))
-        for k, (pid, r) in enumerate(children):
+        for pid, r in children:
             with open(r, "rb", closefd=False) as fh:
                 payload = fh.read()
             if not payload:
@@ -87,7 +83,7 @@ def _run_forked(run, tasks: int, workers: int) -> list:
             exc, value = pickle.loads(payload)
             if exc is not None:
                 raise exc from RuntimeError(f"in worker {pid}:\n{value}")
-            results[k::workers] = value
+            results.append(value)
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)

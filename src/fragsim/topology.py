@@ -248,13 +248,17 @@ def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
     """Load a user-supplied path file (node sequences) and validate that its
     trails cover every fiber exactly once; a file that cannot be read raises
     OSError."""
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             doc = json.load(fh)
-        node_paths = [[_json_int(n, f"paths[{i}][{j}]") for j, n in enumerate(p)]
-                      for i, p in enumerate(doc["paths"])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"cannot parse path file {path}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TopologyError(f"cannot parse path file {path}: {exc}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("paths"), list)
+            and all(isinstance(p, list) for p in doc["paths"])):
+        raise TopologyError(f"path file {path} must hold a JSON object "
+                            '{"paths": [[node, node, ...], ...]}')
+    node_paths = [[_json_int(n, f"paths[{i}][{j}]") for j, n in enumerate(p)]
+                  for i, p in enumerate(doc["paths"])]
     if any(len(ns) < 2 for ns in node_paths):
         raise TopologyError("path must have at least one hop")
     link_paths = _link_paths(t, node_paths)

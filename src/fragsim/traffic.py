@@ -8,14 +8,25 @@ widths discrete-uniform on [1, max_demand].
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replication index), so replications are independent streams and
-every run is reproducible from its metadata. `DemandGenerator.stream`
-yields the demands as plain tuples, its draw state in locals. Every draw
-is numpy's own algorithm run on raw Philox words, fetched `WORD_BLOCK` at
-a time and used in stream order, so the values are exactly those of
-`Generator.exponential` and `Generator.integers` at a fraction of their
-per-call cost: the exponentials by numpy's ziggurat (Marsaglia & Tsang
-2000; tables in `data/exp_ziggurat.json`), the integers by Lemire's
-bounded multiply with rejection on 32-bit halves of the words.
+every run is reproducible from its metadata. Every draw is numpy's own
+algorithm run on raw Philox words, fetched `WORD_BLOCK` at a time and used
+in stream order, so the values are exactly those of `Generator.exponential`
+and `Generator.integers` at a fraction of their per-call cost: the
+exponentials by numpy's ziggurat (Marsaglia & Tsang 2000; tables in
+`data/exp_ziggurat.json`), the integers by Lemire's bounded multiply with
+rejection on 32-bit halves of the words.
+
+Decoding the words into standard draws (e1, src, dst, width, e2) is nearly
+all the cost; scaling them by a profile (the clock advances by the mean gap
+times e1, the holding time is the mean holding time times e2) is cheap.
+The sharing rule: streams with one seed, replication, node count and
+max_demand have the same standard draws, whatever their rates and holding
+times. A `Draws` decodes them once and replays its record to every
+`DemandGenerator` given it, so the loads of a replication use common random
+numbers (Law, *Simulation Modeling and Analysis*, 5th ed., 2015, ch. 11),
+each exactly as if it had decoded alone. A new profile may change a
+generator's rate and holding time, from the next demand on, but not its
+seed or max_demand.
 """
 
 from __future__ import annotations
@@ -25,8 +36,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, count
-from typing import Callable, Iterator, NamedTuple
+from itertools import chain, groupby, islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -122,49 +133,48 @@ class Demand(NamedTuple):
     holding_time: float
 
 
-class DemandGenerator:
-    def __init__(self, profile: DemandProfile, node_count: int, replication: int = 0):
-        if node_count < 2:
-            raise ValueError("need at least 2 nodes")
-        self.profile = profile
-        # a list mixing an int above 2**63 - 1 with a small one would turn float64
-        key = np.array([profile.seed, replication], dtype=np.uint64)
-        self.bit_generator = np.random.Philox(key=key)
-        self.stream = self._demands(node_count)
+def stream_key(profile: DemandProfile, node_count: int, replication: int) -> tuple:
+    """What the standard draws of a stream depend on."""
+    return profile.seed, profile.max_demand, node_count, replication
 
-    def _demands(self, n: int) -> Iterator[tuple[int, int, int, int, float, float]]:
-        """(id, src, dst, width, arrival_time, holding_time) tuples among n
-        nodes, forever, each from `self.profile` as it is then: exactly what
-        `Generator(self.bit_generator)` would draw, from raw words fetched
-        WORD_BLOCK at a time and used in stream order. The times are
-        `exponential(scale)`: scale times numpy's random_standard_exponential,
-        whose likely path (the candidate inside its layer's rectangle) is
-        written out here. Integers are `integers(0, bound)` for
-        1 <= bound <= 2**32: numpy's buffered_bounded_lemire_uint32 on the
-        low half of a fresh word, whose high half is kept for the next draw,
-        or else on the kept half, as in Philox's next_uint32. Bound 1 draws
-        nothing. What a profile sets (the mean gap, the mean holding time,
-        the three bounds and their rejection thresholds) is worked out when
-        `self.profile` is a new object, before the next demand is drawn."""
-        raw, ke, we, unlikely = (self.bit_generator.random_raw, _KE, _WE,
-                                 standard_exponential_unlikely)
-        # iter(f, None) calls f until it returns None, which no block is
-        word = chain.from_iterable(iter(lambda: raw(WORD_BLOCK).tolist(), None)).__next__
-        clock = 0.0
-        kept = None  # high half of the last raw word, not yet used
-        profile = None
-        for demand_id in count():
-            if self.profile is not profile:
-                profile = self.profile
-                gap = 1.0 / (n * profile.arrival_rate_per_node)
-                holding = profile.mean_holding
-                # a low part below (2**32 - bound) % bound (< bound) would
-                # bias the result, so numpy redraws it
-                bounds = [(bound, (2**32 - bound) % bound)
-                          for bound in (n, n - 1, profile.max_demand)]
+
+def stream_groups(profiles: list[DemandProfile], node_count: int,
+                  replications: int) -> list[list[tuple[int, int]]]:
+    """The (profile index, replication) tasks, replication-major, in groups
+    that read one stream: in each replication, the profiles in order of
+    seed and max_demand, and otherwise in their own order."""
+    def key(k):
+        return stream_key(profiles[k], node_count, 0)
+
+    groups = [list(group) for _, group in groupby(sorted(range(len(profiles)), key=key), key)]
+    return [[(k, r) for k in group] for r in range(replications) for group in groups]
+
+
+def _decode(bit_generator: np.random.Philox, n: int, max_demand: int) -> Iterator[list]:
+    """The standard draws (e1, src, dst, width, e2) among n nodes, forever,
+    in lists of WORD_BLOCK demands: exactly what
+    `Generator(bit_generator)` would draw, from raw words fetched
+    WORD_BLOCK at a time and used in stream order. e1 and e2 are numpy's
+    random_standard_exponential, whose likely path (the candidate inside
+    its layer's rectangle) is written out here. Integers are
+    `integers(0, bound)` for 1 <= bound <= 2**32: numpy's
+    buffered_bounded_lemire_uint32 on the low half of a fresh word, whose
+    high half is kept for the next draw, or else on the kept half, as in
+    Philox's next_uint32. Bound 1 draws nothing."""
+    raw, ke, we, unlikely = (bit_generator.random_raw, _KE, _WE,
+                             standard_exponential_unlikely)
+    # iter(f, None) calls f until it returns None, which no block is
+    word = chain.from_iterable(iter(lambda: raw(WORD_BLOCK).tolist(), None)).__next__
+    kept = None  # high half of the last raw word, not yet used
+    # a low part below (2**32 - bound) % bound (< bound) would bias the
+    # result, so numpy redraws it
+    bounds = [(bound, (2**32 - bound) % bound) for bound in (n, n - 1, max_demand)]
+    while True:
+        chunk = []
+        for _ in range(WORD_BLOCK):
             w = word()
             ri, idx = w >> 11, (w >> 3) & 0xFF
-            clock += gap * (ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx))
+            e1 = ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)
             draws = []
             for bound, threshold in bounds:
                 m = 0
@@ -183,8 +193,102 @@ class DemandGenerator:
                 dst += 1
             w = word()
             ri, idx = w >> 11, (w >> 3) & 0xFF
-            yield (demand_id, src, dst, width + 1, clock,
-                   holding * (ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)))
+            chunk.append((e1, src, dst, width + 1,
+                          ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)))
+        yield chunk
+
+
+def _demands(n: int, chunks, cell: list) -> Iterator[tuple[int, int, int, int, float, float]]:
+    """(id, src, dst, width, arrival_time, holding_time) tuples among n
+    nodes, forever: the standard draws of `chunks`, each scaled by the
+    profile in `cell` as it is then. The times are `exponential(scale)`:
+    scale times a standard exponential. The mean gap and the mean holding
+    time are worked out when the profile is a new object, before the next
+    demand is scaled."""
+    clock = 0.0
+    profile = None
+    for demand_id, (e1, src, dst, width, e2) in enumerate(chain.from_iterable(chunks)):
+        if cell[0] is not profile:
+            profile = cell[0]
+            gap = 1.0 / (n * profile.arrival_rate_per_node)
+            holding = profile.mean_holding
+        clock += gap * e1
+        yield demand_id, src, dst, width, clock, holding * e2
+
+
+class Draws:
+    """The standard draws of one stream, decoded once and recorded for every
+    `DemandGenerator` given this object, by the sharing rule above. The
+    record is five arrays: e1 and e2 as doubles, src and dst as 4-byte and
+    widths as 8-byte integers, 32 bytes a demand. Without `record`, the
+    draws are decoded for one generator alone and kept by none."""
+
+    def __init__(self, profile: DemandProfile, node_count: int, replication: int = 0,
+                 record: bool = True):
+        self.key = stream_key(profile, node_count, replication)
+        # a list mixing an int above 2**63 - 1 with a small one would turn float64
+        self.bit_generator = np.random.Philox(
+            key=np.array([profile.seed, replication], dtype=np.uint64))
+        self._decoded = _decode(self.bit_generator, node_count, profile.max_demand)
+        self._columns = ()
+        if record:
+            # imported here: a shared library whose pages only a recording run needs
+            from array import array
+            self._columns = tuple(map(array, "dIIQd"))
+
+    def chunks(self) -> Iterator[Iterable[tuple]]:
+        """Iterables of (e1, src, dst, width, e2) that together give the
+        stream from its first draw: the recorded draws, then new ones,
+        decoded and recorded. Each is read to its end before the next is
+        asked for, so readers may take turns."""
+        i = 0
+        while True:
+            if i < self.recorded:
+                chunk = islice(zip(*self._columns), i, self.recorded)
+            else:
+                chunk = next(self._decoded)
+                for column, values in zip(self._columns, zip(*chunk)):
+                    column.fromlist(list(values))
+            i = self.recorded
+            yield chunk
+
+    @property
+    def recorded(self) -> int:
+        """The number of draws recorded."""
+        return len(self._columns[0]) if self._columns else 0
+
+
+class DemandGenerator:
+    """The demands of one stream: its standard draws, decoded here or read
+    from `draws` (a `Draws` of the same stream), scaled by `profile`."""
+
+    def __init__(self, profile: DemandProfile, node_count: int, replication: int = 0,
+                 draws: Draws | None = None):
+        if node_count < 2:
+            raise ValueError("need at least 2 nodes")
+        if draws is None:
+            draws = Draws(profile, node_count, replication, record=False)
+        elif draws.key != stream_key(profile, node_count, replication):
+            raise ValueError(f"stream {stream_key(profile, node_count, replication)} "
+                             f"cannot read the draws of stream {draws.key}")
+        self.bit_generator = draws.bit_generator
+        # the stream reads the profile from this cell, not from self: a
+        # stream that held self would live on in a cycle after its last use
+        self._profile = [profile]
+        self.stream = _demands(node_count, draws.chunks(), self._profile)
+
+    @property
+    def profile(self) -> DemandProfile:
+        """The profile that scales the next demand. Setting one with another
+        seed or max_demand raises ValueError: it would need other standard
+        draws."""
+        return self._profile[0]
+
+    @profile.setter
+    def profile(self, profile: DemandProfile) -> None:
+        if (profile.seed, profile.max_demand) != (self.profile.seed, self.profile.max_demand):
+            raise ValueError(f"a stream's seed and max_demand are fixed, got {profile}")
+        self._profile[0] = profile
 
     def next_demand(self) -> Demand:
         return Demand(*next(self.stream))

@@ -415,6 +415,17 @@ class TestMakePaths:
         assert code == 2
         assert "paths[1][1] must be an integer" in err
 
+    @pytest.mark.parametrize("content", ['{"paths": 5}', "[1, 2]", '{"paths": [1, 2]}',
+                                         '{"trails": [[0, 1]]}'])
+    def test_path_file_of_wrong_shape_exits_2(self, capsys, tmp_path, content):
+        paths = tmp_path / "paths.json"
+        paths.write_text(content)
+        code, _, err = run_cli(capsys, "dump-state", "--topology", data_file("net_a.json"),
+                               "--paths", str(paths), "--arrivals", "0")
+        assert code == 2
+        assert 'must hold a JSON object {"paths": [[node, node, ...], ...]}' in err
+        assert "Traceback" not in err
+
     def test_shipped_net_a_paths_file_loads(self, capsys):
         code, _, _ = run_cli(capsys, "dump-state",
                              "--topology", data_file("net_a.json"),

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import data_file, free_counts
 from fragsim.engine import (Connection, Simulation, make_grid, mean_ci99,
-                            run_steady_sweep, run_transient, run_utilization_scan, t99)
-from fragsim.metrics import left_sum
+                            run_steady_sweep, run_transient, run_utilization_scan)
+from fragsim.metrics import left_sum, t99
 from fragsim.spectrum import SliceRange
 from fragsim.topology import (Topology, all_pairs_routes, build_beta_paths,
                               load_topology)
@@ -420,7 +420,7 @@ class TestRunners:
         monkeypatch.setattr(topology, "all_pairs_routes", counting_routes)
         paths = build_beta_paths(chain4)
         grid = make_grid([5.0, 10.0], [2], seed=4)
-        tables, _ = engine._replicate(chain4, paths, grid, 3, lambda sim: sim.routes, 0)
+        tables, _, _ = engine._replicate(chain4, paths, grid, 3, lambda sim: sim.routes, 0)
         seen = [table for results, _ in tables for table in results]
         assert len(calls) == 1 and len(seen) == 6
         assert all(table is seen[0] for table in seen)

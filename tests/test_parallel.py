@@ -12,6 +12,7 @@ import pytest
 
 import fragsim.engine as engine
 import fragsim.topology as topology
+import fragsim.traffic as traffic
 from conftest import data_file
 from fragsim.cli import main
 from fragsim.engine import make_grid, run_steady_sweep, run_transient
@@ -49,7 +50,7 @@ def counting_forks(monkeypatch) -> list:
 @pytest.mark.parametrize("name", ["transient", "sweep"])
 def test_cli_bytes_and_metadata_forked_and_in_process(name, tmp_path, monkeypatch, capsys):
     argv, digests = RUNS[name]
-    written = {}
+    written, streams = {}, {}
     for fork in (True, False):
         use_cpus(monkeypatch, 2, fork)
         pids = counting_forks(monkeypatch)
@@ -59,13 +60,18 @@ def test_cli_bytes_and_metadata_forked_and_in_process(name, tmp_path, monkeypatc
         meta = json.loads((out / "metadata.json").read_text())
         assert len(pids) == (2 if fork else 0)
         keys = {"config", "topology_sha256", "rng", "version", "experiment", "clamp_events",
-                "processes"}
+                "processes", "demand_streams"}
         assert set(meta) == keys | ({"worker_peak_rss_mb"} if fork else set())
         assert meta["processes"] == (2 if fork else 1)
         if fork:
             assert 0 < meta["worker_peak_rss_mb"] < 1 << 20
+        streams[fork] = meta["demand_streams"]
     capsys.readouterr()
     assert written[True] == written[False]
+    # transient: three replications of one profile, none shared; sweep: three
+    # replications of two max_demands, each read by two loads
+    assert streams[True] == streams[False] == (
+        {"decoded": 3, "replayed": 0} if name == "transient" else {"decoded": 6, "replayed": 6})
     assert {f: hashlib.sha256(b).hexdigest() for f, b in written[True].items()} == digests
 
 
@@ -90,12 +96,55 @@ def test_results_do_not_depend_on_usable_cpus(monkeypatch):
     assert results[1] == results[0] and results[2] == results[0]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_one_decode_per_stream_group(chain4, monkeypatch, cpus):
+    # each replication's profiles with one seed and max_demand decode one
+    # stream between them, in this process and in two or three children:
+    # whole groups are dealt to each child
+    use_cpus(monkeypatch, cpus)
+    decoded, decode = [], traffic._decode
+    monkeypatch.setattr(traffic, "_decode", lambda bits, n, max_demand: decoded.append(
+        (*bits.state["state"]["key"].tolist(), max_demand)) or decode(bits, n, max_demand))
+    profiles = [DemandProfile.resolve(max_demand, seed, load=load)
+                for seed in (4, 9) for load in (5.0, 10.0) for max_demand in (2, 3)]
+    paths = build_beta_paths(chain4)
+    pids = counting_forks(monkeypatch)
+
+    def drive(sim):
+        sim.run(12, 4)
+        return os.getpid(), list(decoded)
+
+    runs, processes, streams = engine._replicate(chain4, paths, profiles, 3, drive, 12)
+    # each process's decodes, as its last task saw them
+    last = {}
+    for pid, calls in (report for results, _ in runs for report in results):
+        last[pid] = max(last.get(pid, []), calls, key=len)
+    assert sorted(key for calls in last.values() for key in calls) == sorted(
+        (seed, r, max_demand) for seed in (4, 9) for r in range(3) for max_demand in (2, 3))
+    assert len(pids) == (cpus if cpus > 1 else 0) and processes == max(len(pids), 1)
+    assert streams == {"decoded": 12, "replayed": 12}
+
+
+def test_fewer_groups_than_children_are_split(chain4, monkeypatch):
+    # one replication of two loads is one group: two children run a load
+    # each, decoding the stream twice, rather than one child running both
+    paths = build_beta_paths(chain4)
+    grid = make_grid([5.0, 10.0], [2], seed=4)
+    out = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out.append(engine._replicate(chain4, paths, grid, 1, lambda sim: sim.run(30, 10), 30))
+    assert out[0][0] == out[1][0]
+    assert out[0][1:] == (1, {"decoded": 1, "replayed": 1})
+    assert out[1][1:] == (2, {"decoded": 2, "replayed": 0})
+
+
 def test_no_more_children_than_tasks(chain4, monkeypatch):
     use_cpus(monkeypatch, 8)
     pids = counting_forks(monkeypatch)
     paths = build_beta_paths(chain4)
-    runs, processes = engine._replicate(chain4, paths, make_grid([5.0], [2], seed=4), 3,
-                                        lambda sim: sim.run(20, 5)[-1].arrivals, 20)
+    runs, processes, _ = engine._replicate(chain4, paths, make_grid([5.0], [2], seed=4), 3,
+                                           lambda sim: sim.run(20, 5)[-1].arrivals, 20)
     assert len(pids) == processes == 3
     assert runs == [([20, 20, 20], 0)]
 
@@ -130,8 +179,8 @@ def test_forked_drives_see_the_parents_one_route_table(chain4, monkeypatch):
     grid = make_grid([5.0, 10.0], [2], seed=4)
     # each drive reports the calls its process had seen and its table's
     # address, which a table copied by fork keeps
-    runs, processes = engine._replicate(chain4, paths, grid, 3,
-                                        lambda sim: (len(calls), id(sim.routes)), 10)
+    runs, processes, _ = engine._replicate(chain4, paths, grid, 3,
+                                           lambda sim: (len(calls), id(sim.routes)), 10)
     seen = [report for results, _ in runs for report in results]
     assert processes == 2 and len(calls) == 1
     assert seen == [(1, id(chain4.routes))] * 6

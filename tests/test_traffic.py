@@ -1,8 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import random
-from collections import Counter
+import tracemalloc
+import weakref
+from collections import Counter, deque
+from itertools import islice
 from operator import length_hint
 
 import numpy as np
@@ -245,6 +249,110 @@ def test_scale_changes_between_demands():
             want = (demand_id, src, dst + (dst >= src), width + 1, clock,
                     ref.exponential(profile.mean_holding))
             assert next(gen.stream) == want, (seed, demand_id)
+
+
+def test_seed_and_max_demand_are_fixed():
+    # a stream's standard draws depend on its seed and max_demand, so only the
+    # rate and the holding time of its profile may change
+    gen = DemandGenerator(DemandProfile(2.0, 1.5, 5, 0), 3, replication=1)
+    for other in (DemandProfile(2.0, 1.5, 6, 0), DemandProfile(2.0, 1.5, 5, 1)):
+        with pytest.raises(ValueError, match="seed and max_demand are fixed"):
+            gen.profile = other
+    gen.profile = new = DemandProfile(4.0, 0.5, 5, 0)
+    assert gen.profile is new
+
+
+def independent(profile, n, replication, count, changes=()):
+    """`count` demands of a generator of its own, its profile replaced by
+    changes[demand id] before that demand is drawn."""
+    gen = DemandGenerator(profile, n, replication)
+    out = []
+    for demand_id in range(count):
+        if demand_id in changes:
+            gen.profile = changes[demand_id]
+        out.append(next(gen.stream))
+    return out
+
+
+@pytest.mark.parametrize("n,max_demand", STREAM_PINS)
+def test_shared_draws_give_each_profile_its_own_stream(n, max_demand):
+    # profiles that differ only in rate or holding time read one Draws: each
+    # stream is the one its own generator decodes (the pinned stream for the
+    # first profile), also past the end of what an earlier reader recorded
+    rates = [(3.0, 1.5), (0.7, 1.5), (3.0, 4.0), (11.0, 0.2)]
+    profiles = [DemandProfile(rate, holding, max_demand, 5) for rate, holding in rates]
+    draws = traffic.Draws(profiles[0], n, replication=2)
+    for profile, count in zip(profiles, (2000, 700, 2000, 2600)):
+        gen = DemandGenerator(profile, n, 2, draws)
+        assert list(islice(gen.stream, count)) == independent(profile, n, 2, count)
+    assert draws.recorded >= 2600
+
+
+def test_readers_may_take_turns_and_change_rates():
+    profiles = [DemandProfile(2.0, 1.5, 7, 3), DemandProfile(5.0, 0.5, 7, 3)]
+    draws = traffic.Draws(profiles[0], 5, replication=1)
+    gens = [DemandGenerator(p, 5, 1, draws) for p in profiles]
+    got = [[], []]
+    # the second reader starts at once, then both read in turns of 50
+    for turn in range(40):
+        for k in (1, 0):
+            if turn == 20:
+                gens[k].profile = DemandProfile(1.0, 2.0, 7, 3)
+            got[k] += islice(gens[k].stream, 50)
+    for k, profile in enumerate(profiles):
+        assert got[k] == independent(profile, 5, 1, 2000,
+                                     {1000: DemandProfile(1.0, 2.0, 7, 3)})
+
+
+@pytest.mark.parametrize("seed,max_demand,n,replication", [(6, 16, 14, 0), (5, 8, 14, 0),
+                                                           (5, 16, 13, 0), (5, 16, 14, 1)])
+def test_other_streams_cannot_read_the_draws(seed, max_demand, n, replication):
+    draws = traffic.Draws(DemandProfile(1.0, 1.0, 16, 5), 14, 0)
+    with pytest.raises(ValueError, match="cannot read the draws"):
+        DemandGenerator(DemandProfile(2.0, 1.0, max_demand, seed), n, replication, draws)
+
+
+def test_stream_groups_join_only_one_stream():
+    # same seed and max_demand: one group per replication, whatever the rate
+    # and holding time; another seed or max_demand is another group
+    profiles = [DemandProfile(1.0, 1.0, 16, 1), DemandProfile(2.0, 1.0, 8, 1),
+                DemandProfile(3.0, 2.0, 16, 1), DemandProfile(1.0, 1.0, 16, 2),
+                DemandProfile(2.0, 3.0, 8, 1)]
+    assert traffic.stream_groups(profiles, 14, 2) == [
+        [(1, 0), (4, 0)], [(0, 0), (2, 0)], [(3, 0)],
+        [(1, 1), (4, 1)], [(0, 1), (2, 1)], [(3, 1)]]
+
+
+def test_generator_is_freed_at_its_last_reference():
+    # its stream reads the profile from a cell, so no cycle keeps the
+    # generator and its decoded chunk alive until the cycle collector runs
+    profile = DemandProfile(1.0, 1.0, 16, 1)
+    gc.disable()
+    try:
+        for draws in (None, traffic.Draws(profile, 5, 0)):
+            gen = DemandGenerator(profile, 5, 0, draws)
+            next(gen.stream)
+            ref = weakref.ref(gen)
+            del gen
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_record_takes_at_most_40_bytes_a_demand():
+    # traced over 20,000 NSFNET demands (14 nodes); the first Draws imports
+    # what the generator needs, so that the traced one holds only itself
+    profile = DemandProfile(80.0, 1.0, 16, 1)
+    next(DemandGenerator(profile, 14, 0, traffic.Draws(profile, 14, 0)).stream)
+    tracemalloc.start()
+    try:
+        draws = traffic.Draws(profile, 14, 0)
+        deque(islice(DemandGenerator(profile, 14, 0, draws).stream, 20_000), maxlen=0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.recorded >= 20_000
+    assert held / 20_000 <= 40 and peak / 20_000 <= 40
 
 
 # 3 << 30 and 1 << 31 make numpy's rejection test see a low part equal to
