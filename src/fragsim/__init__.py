@@ -1,13 +1,11 @@
-"""Vectored fragmentation metric and dynamic-traffic simulation for
-elastic optical network spectrum."""
+"""Vectored fragmentation metric and dynamic-traffic simulation for elastic
+optical network spectrum. The package exports what the README's Library
+section uses; everything else is imported from its module."""
 
 __version__ = "0.1.0"
 
-from .metrics import (FragmentationReport, MetricBounds, compute_alpha,
-                      compute_beta, compute_bounds, compute_lefm, compute_vfm,
-                      normalize, snapshot_report)
-from .spectrum import SliceRange, SpectrumState
-from .topology import (BetaPathSet, Link, Topology, build_beta_paths,
-                       load_beta_paths, load_topology)
-from .traffic import Demand, DemandGenerator, DemandProfile, EventQueue
-from .engine import Simulation, run_steady_sweep, run_transient, run_utilization_scan
+from .metrics import compute_bounds, snapshot_report
+from .spectrum import SpectrumState
+from .topology import build_beta_paths, load_beta_paths, load_topology
+from .traffic import DemandProfile
+from .engine import Simulation

@@ -20,7 +20,7 @@ from .engine import (ESCALATE_EVERY, ESCALATE_FACTOR, Simulation, make_grid,
                      run_steady_sweep, run_transient, run_utilization_scan)
 from .metrics import CSV_HEADER, METRICS, SUMMARY_METRICS, compute_bounds, snapshot_report
 from .spectrum import SpectrumState
-from .topology import build_beta_paths, load_beta_paths, load_topology
+from .topology import build_beta_paths, load_beta_paths, load_topology, read_json
 from .traffic import RNG_NAME, DemandProfile
 
 
@@ -77,11 +77,7 @@ def _resolve_config(args) -> dict:
         cfg["seed"] = _parse("seed", os.environ["FRAGSIM_SEED"], "FRAGSIM_SEED")
     explicit = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"bad config file: {exc}") from exc
+        file_cfg = read_json(args.config, "config")
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
@@ -175,8 +171,8 @@ def _write_metadata(cfg, out_dir, extra):
 
 def _processes(res):
     """Metadata of the processes a runner's replications ran in and of the
-    demand streams they decoded and replayed. With forked children (Linux
-    only), also the peak resident set in MiB of the largest child."""
+    demand streams they decoded and replayed. With forked children, also
+    the peak resident set in MiB of the largest child."""
     meta = {"processes": res.processes, "demand_streams": res.streams}
     if res.processes > 1:
         import resource  # not on Windows, which never forks here

@@ -9,15 +9,14 @@ due at it), then takes the first window free on its route or is blocked.
 An active connection is recorded once, as its departure heap entry
 (departure time, id, route, mask), so the loop builds no `SliceRange` and
 keeps no dict in step with the heap. The routes are the topology's cached
-table. A sample saves a copy of the bitmap list and the counters; the
-saved states are scored a batch at a time by one `snapshot_reports` call
-(`take_sample`), and whatever is still pending is scored before `run` or a
-runner returns. The runners repeat replications through `_replicate`. A
-sample's values are `Sample.values`, in SUMMARY_METRICS order, and every
-summary (mean and 99% Student-t half-width) is one `mean_ci99` reduction
-over axis 0 of rows of them: replications x points x metrics for a
-transient, samples x metrics per sweep window and replications x metrics
-per sweep cell.
+table. Samples are scored a batch at a time, by the rule that
+`Simulation.take_sample` states, and whatever is still pending is scored
+before `run` or a runner returns. The runners repeat replications through
+`_replicate`. A sample's values are `Sample.values`, in SUMMARY_METRICS
+order, and every summary (mean and 99% Student-t half-width) is one
+`mean_ci99` reduction over axis 0 of rows of them: replications x points
+x metrics for a transient, samples x metrics per sweep window and
+replications x metrics per sweep cell.
 """
 
 from __future__ import annotations
@@ -52,14 +51,12 @@ class Connection(NamedTuple):
 
 # arrivals behind br_tr_win; 1000 resolves a blocking ratio to 0.001
 BR_WINDOW = 1000
-# the states' worth of distinct bitmaps that one snapshot_reports call
-# scores, in at most 2 * SAMPLE_BATCH samples. More states per call share
-# its fixed numpy cost, but its link-run temporaries grow with the distinct
-# bitmaps and its trail temporaries with the samples: this keeps a call's
-# traced peak at 0.12-0.13 MB on German and NSFNET states, while a flat batch
-# of 8 raised the benchmark's peak RSS by 0.15-0.2 MB on sweep_nsfnet.
-# Steady NSFNET samples change nearly every link and stay 4 to a call;
-# transient German ones, 5 arrivals apart, reach 8.
+# the batch size of `Simulation.take_sample`. More states per
+# snapshot_reports call share its fixed numpy cost, but its link-run
+# temporaries grow with the distinct bitmaps and its trail temporaries with
+# the samples: 4 keeps a call's traced peak at 0.12-0.13 MB on German and
+# NSFNET states, while a flat batch of 8 raised the benchmark's peak RSS by
+# 0.15-0.2 MB on sweep_nsfnet.
 SAMPLE_BATCH = 4
 
 
@@ -150,7 +147,15 @@ class Simulation:
 
     def take_sample(self) -> None:
         """Save the spectrum and the counters for a sample; its report is
-        computed with those of other pending samples, in `flush_samples`."""
+        computed with those of other pending samples, in `flush_samples`.
+
+        The batch rule: this flushes once the next sample could take the
+        distinct link bitmaps of the pending samples past SAMPLE_BATCH
+        states' worth, or at 2 * SAMPLE_BATCH samples. A copied bitmap list
+        shares the ints of links that did not change, so transient German
+        samples 5 arrivals apart are scored 8 to a call, and steady NSFNET
+        samples, which change nearly every link, 4. The reports are the same
+        wherever a batch ends."""
         window, pending = self._window, self._pending
         occ = self.state.occ.copy()
         # the links whose int is not the previous sample's: SpectrumState
@@ -186,13 +191,12 @@ class Simulation:
         return self.samples[first:]
 
 
-# The fewest arrivals that each forked child must run for `_replicate` to
-# fork: below it, the fork, the pages the children copy and the pickled
-# results cost more than the second CPU saves. On a 2-vCPU Xeon, two
-# children took, against the same tasks run in one process (median of 9):
-# German transients sampled every 5, 1.50x at 1,000 arrivals a child and
-# 0.76x at 2,000; NSFNET sweeps sampled every 100, 1.41x, 1.03x and 0.64x
-# at 1,000, 2,000 and 4,000.
+# the threshold of `_workers`, in arrivals a child: below it, the fork, the
+# pages the children copy and the pickled results cost more than the second
+# CPU saves. On a 2-vCPU Xeon, two children took, against the same tasks
+# run in one process (median of 9): German transients sampled every 5,
+# 1.50x at 1,000 arrivals a child and 0.76x at 2,000; NSFNET sweeps sampled
+# every 100, 1.41x, 1.03x and 0.64x at 1,000, 2,000 and 4,000.
 FORK_MIN_ARRIVALS = 2000
 
 

@@ -12,17 +12,11 @@ no-fragmentation convention (a fully busy spectrum is not fragmented).
 
 Alpha and beta both take longest free runs over the same free maps, alpha
 along each link's slices and beta along each trail's hops at every slice
-index. `snapshot_reports` scores a batch of saved states together:
-`_batch_runs` packs the free map of each distinct link bitmap of the batch
-into one bit string, finds every link run with one edge pass over it, and
-bit-slices the trails (an OR of ANDs over consecutive hops per run length)
-instead of walking each (trail, slice) column. A bitmap that a link keeps
-from one state to the next is packed and scanned once; every (state, link)
-reads its results through one index. Its link runs feed both alpha and
-lefm.
-snapshot_report is snapshot_reports on a batch of one, and compute_alpha,
-compute_beta and compute_lefm wrap the same private helpers, so each gives
-exactly the value snapshot_report reports.
+index. `snapshot_reports` scores a batch of saved states with one set of
+numpy calls (`_batch_runs` states how), and its link runs feed both alpha
+and lefm. snapshot_report is snapshot_reports on a batch of one, and
+compute_alpha, compute_beta and compute_lefm wrap the same private
+helpers, so each gives exactly the value snapshot_report reports.
 
 `mean_ci99` summarizes metric values over replications: their mean and
 99% Student-t half-width, with `t99` the critical value.

@@ -1,12 +1,11 @@
 """A runner's replications run in forked child processes.
 
 `engine._replicate` hands its tasks here when `engine._workers` finds
-them worth forking for, which it does only on Linux, where `os.fork` and
-`os.sched_getaffinity` exist. `os.fork` hands each child the parent's
-memory, closures included, so no function is pickled: only each child's
-results, or its exception, travel back, through one pipe per child. The
-parent runs no task itself. This module is imported only by a run that
-forks, so a run that does not never compiles it.
+them worth forking for. `os.fork` hands each child the parent's memory,
+closures included, so no function is pickled: only each child's results,
+or its exception, travel back, through one pipe per child. The parent runs
+no task itself. This module is imported only by a run that forks, so a run
+that does not never compiles it.
 """
 
 from __future__ import annotations

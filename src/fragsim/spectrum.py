@@ -7,23 +7,16 @@ them when asked for, so nothing is kept in step by hand. Word-parallel
 scans below are bit-exact with a naive per-bit loop; the test suite checks
 that against an independent oracle.
 
-First-fit ORs the route's bitmaps into one, complements it once, and finds
-the windows of `width` free slices with O(log width) shift-ANDs: doubling
-run lengths 1, 2, 4, ... up to the largest power of two n <= width, then one
-shift by width - n (Warren, Hacker's Delight, 2nd ed., section 6-2).
-
 A window of slices travels as its mask, the int with exactly its bits set:
 `find_first_fit` returns one, and `allocate` and `release` take one, so an
 admission never leaves the bitmaps. `SliceRange(start, width)` is the
 readable form of a window; `SliceRange.mask` and `SliceRange.from_mask`
 convert between the two.
 
-The metrics read the bitmaps themselves: a sample saves a copy of `occ`,
-and `metrics.snapshot_reports` packs the saved lists of a whole batch into
-one bit string. `max_contiguous_free` (the longest free run of one link in
-O(log run) big-int operations) and `free_bits` (one link's free map) are
-not on that path; they are the per-link answers the tests check it
-against, and the benchmark's per-layer trace names them.
+The metrics read the bitmaps themselves, through
+`metrics.snapshot_reports`. `max_contiguous_free` and `free_bits` are not
+on that path; they are the per-link answers the tests check it against,
+and the benchmark's per-layer trace names them.
 """
 
 from __future__ import annotations
@@ -93,7 +86,13 @@ class SpectrumState:
 
     def find_first_fit(self, route: list[int], width: int) -> int | None:
         """Mask of the first window of `width` slices free on every route
-        link (the one with the smallest start), or None if there is none."""
+        link (the one with the smallest start), or None if there is none.
+
+        The route's bitmaps are ORed into one and complemented once; the
+        windows of `width` free slices are then found with O(log width)
+        shift-ANDs: doubling run lengths 1, 2, 4, ... up to the largest power
+        of two n <= width, then one shift by width - n (Warren, Hacker's
+        Delight, 2nd ed., section 6-2)."""
         if width < 1:
             raise ValueError("width must be >= 1")
         if width > self.slice_count:

@@ -1,9 +1,9 @@
 """Network graph model, hop-count routing and construction of the beta path cover.
 
-A topology is its list of bidirectional fibers, loaded from a JSON file;
-the directed links and the adjacency lists are derived from it once, at
-construction: fiber k is link 2k (forward) and link 2k+1 (reverse). All
-links share one spectrum grid size. Instances are immutable after
+A topology is its list of bidirectional fibers, loaded from a JSON file.
+Fiber k = (a, b) is directed link 2k from a to b and link 2k+1 from b to
+a; the adjacency lists are derived from the fibers once, at construction.
+All links share one spectrum grid size. Instances are immutable after
 construction and safe to share between simulation replications; their
 route table is computed on first read, cached, and never changes. One
 breadth-first search serves both the connectivity check and the routes.
@@ -22,23 +22,15 @@ from .cover import min_trail_cover
 
 
 class TopologyError(ValueError):
-    """Raised when a topology or path file fails validation."""
-
-
-@dataclass(frozen=True)
-class Link:
-    id: int
-    src: int
-    dst: int
+    """Raised when a topology, path or config file fails validation."""
 
 
 @dataclass
 class Topology:
     name: str
     node_count: int
-    fibers: list[tuple[int, int]]     # fiber k = (a, b); its forward link runs a -> b
+    fibers: list[tuple[int, int]]
     slice_count: int
-    links: list[Link] = field(init=False)
     # per node, the sorted (dst, id) pairs of its outgoing links
     adjacency: list[list[tuple[int, int]]] = field(init=False)
 
@@ -49,19 +41,18 @@ class Topology:
             raise TopologyError("slice_count must be positive")
         if not self.fibers:
             raise TopologyError("topology has no fibers")
-        self.links = []
         for k, (a, b) in enumerate(self.fibers):
             if not (0 <= a < self.node_count and 0 <= b < self.node_count):
                 raise TopologyError(f"fiber {k}: dangling node index ({a},{b})")
             if a == b:
                 raise TopologyError(f"fiber {k}: self loop")
-            self.links += [Link(2 * k, a, b), Link(2 * k + 1, b, a)]
         # a connected graph has at most fibers + 1 nodes: checked before any per-node list
         if self.node_count > len(self.fibers) + 1:
             raise TopologyError("graph is not connected")
         self.adjacency = [[] for _ in range(self.node_count)]
-        for ln in self.links:
-            self.adjacency[ln.src].append((ln.dst, ln.id))
+        for k, (a, b) in enumerate(self.fibers):
+            self.adjacency[a].append((b, 2 * k))
+            self.adjacency[b].append((a, 2 * k + 1))
         for lst in self.adjacency:
             lst.sort()
         if len(_reached_by(self, 0)) != self.node_count:
@@ -73,7 +64,7 @@ class Topology:
 
     @property
     def link_count(self) -> int:
-        return len(self.links)
+        return 2 * len(self.fibers)
 
     @cached_property
     def routes(self) -> dict[tuple[int, int], list[int]]:
@@ -90,14 +81,21 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def read_json(path: str, what: str):
+    """The JSON document in the `what` file at `path`. A file that is not
+    UTF-8 JSON raises TopologyError naming it; one that cannot be read
+    raises OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TopologyError(f"cannot parse {what} file {path}: {exc}") from exc
+
+
 def load_topology(path: str) -> Topology:
     """Load and validate a topology JSON file; a file that cannot be read
     raises OSError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"cannot parse topology file {path}: {exc}") from exc
+    doc = read_json(path, "topology")
     if not isinstance(doc, dict):
         raise TopologyError(f"topology file {path} must hold a JSON object")
     try:
@@ -230,7 +228,7 @@ def _link_paths(t: Topology, node_paths: list[list[int]]) -> list[list[int]]:
         unused.setdefault(frozenset(t.fibers[k]), []).append(k)
     link_paths = []
     for ns in node_paths:
-        links = []
+        lids = []
         for u, v in zip(ns, ns[1:]):
             left = unused.get(frozenset((u, v)))
             if left is None:
@@ -239,8 +237,8 @@ def _link_paths(t: Topology, node_paths: list[list[int]]) -> list[list[int]]:
                 raise TopologyError(f"fiber between nodes {u} and {v} repeated: "
                                     "the paths must cover each fiber exactly once")
             k = left.pop()
-            links.append(2 * k if t.fibers[k][0] == u else 2 * k + 1)
-        link_paths.append(links)
+            lids.append(2 * k if t.fibers[k][0] == u else 2 * k + 1)
+        link_paths.append(lids)
     return link_paths
 
 
@@ -248,11 +246,7 @@ def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
     """Load a user-supplied path file (node sequences) and validate that its
     trails cover every fiber exactly once; a file that cannot be read raises
     OSError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise TopologyError(f"cannot parse path file {path}: {exc}") from exc
+    doc = read_json(path, "path")
     if not (isinstance(doc, dict) and isinstance(doc.get("paths"), list)
             and all(isinstance(p, list) for p in doc["paths"])):
         raise TopologyError(f"path file {path} must hold a JSON object "
@@ -262,7 +256,7 @@ def load_beta_paths(path: str, t: Topology) -> BetaPathSet:
     if any(len(ns) < 2 for ns in node_paths):
         raise TopologyError("path must have at least one hop")
     link_paths = _link_paths(t, node_paths)
-    covered = {lid // 2 for links in link_paths for lid in links}
+    covered = {lid // 2 for lids in link_paths for lid in lids}
     if len(covered) != t.fiber_count:
         missing = sorted(set(range(t.fiber_count)) - covered)
         raise TopologyError(f"paths do not cover fibers {missing}")

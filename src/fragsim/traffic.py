@@ -8,25 +8,19 @@ widths discrete-uniform on [1, max_demand].
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replication index), so replications are independent streams and
-every run is reproducible from its metadata. Every draw is numpy's own
-algorithm run on raw Philox words, fetched `WORD_BLOCK` at a time and used
-in stream order, so the values are exactly those of `Generator.exponential`
-and `Generator.integers` at a fraction of their per-call cost: the
-exponentials by numpy's ziggurat (Marsaglia & Tsang 2000; tables in
-`data/exp_ziggurat.json`), the integers by Lemire's bounded multiply with
-rejection on 32-bit halves of the words.
+every run is reproducible from its metadata. Every draw is exactly the
+value `Generator.exponential` or `Generator.integers` would give, at a
+fraction of their per-call cost: `_decode` runs numpy's own algorithms on
+the raw Philox words.
 
 Decoding the words into standard draws (e1, src, dst, width, e2) is nearly
-all the cost; scaling them by a profile (the clock advances by the mean gap
-times e1, the holding time is the mean holding time times e2) is cheap.
-The sharing rule: streams with one seed, replication, node count and
-max_demand have the same standard draws, whatever their rates and holding
-times. A `Draws` decodes them once and replays its record to every
-`DemandGenerator` given it, so the loads of a replication use common random
-numbers (Law, *Simulation Modeling and Analysis*, 5th ed., 2015, ch. 11),
-each exactly as if it had decoded alone. A new profile may change a
-generator's rate and holding time, from the next demand on, but not its
-seed or max_demand.
+all the cost; scaling them by a profile (`_demands`) is cheap. The sharing
+rule: streams with one seed, replication, node count and max_demand have
+the same standard draws, whatever their rates and holding times. A `Draws`
+decodes them once and replays its record to every `DemandGenerator` given
+it, so the loads of a replication use common random numbers (Law,
+*Simulation Modeling and Analysis*, 5th ed., 2015, ch. 11), each exactly as
+if it had decoded alone.
 """
 
 from __future__ import annotations
@@ -138,6 +132,12 @@ def stream_key(profile: DemandProfile, node_count: int, replication: int) -> tup
     return profile.seed, profile.max_demand, node_count, replication
 
 
+def _philox(profile: DemandProfile, replication: int) -> np.random.Philox:
+    """The bit generator of a stream, keyed by (seed, replication)."""
+    # a list mixing an int above 2**63 - 1 with a small one would turn float64
+    return np.random.Philox(key=np.array([profile.seed, replication], dtype=np.uint64))
+
+
 def stream_groups(profiles: list[DemandProfile], node_count: int,
                   replications: int) -> list[list[tuple[int, int]]]:
     """The (profile index, replication) tasks, replication-major, in groups
@@ -155,12 +155,14 @@ def _decode(bit_generator: np.random.Philox, n: int, max_demand: int) -> Iterato
     in lists of WORD_BLOCK demands: exactly what
     `Generator(bit_generator)` would draw, from raw words fetched
     WORD_BLOCK at a time and used in stream order. e1 and e2 are numpy's
-    random_standard_exponential, whose likely path (the candidate inside
+    random_standard_exponential, a ziggurat (Marsaglia & Tsang 2000; tables
+    in `data/exp_ziggurat.json`) whose likely path (the candidate inside
     its layer's rectangle) is written out here. Integers are
     `integers(0, bound)` for 1 <= bound <= 2**32: numpy's
-    buffered_bounded_lemire_uint32 on the low half of a fresh word, whose
-    high half is kept for the next draw, or else on the kept half, as in
-    Philox's next_uint32. Bound 1 draws nothing."""
+    buffered_bounded_lemire_uint32, Lemire's bounded multiply with
+    rejection, on the low half of a fresh word, whose high half is kept for
+    the next draw, or else on the kept half, as in Philox's next_uint32.
+    Bound 1 draws nothing."""
     raw, ke, we, unlikely = (bit_generator.random_raw, _KE, _WE,
                              standard_exponential_unlikely)
     # iter(f, None) calls f until it returns None, which no block is
@@ -220,21 +222,15 @@ class Draws:
     """The standard draws of one stream, decoded once and recorded for every
     `DemandGenerator` given this object, by the sharing rule above. The
     record is five arrays: e1 and e2 as doubles, src and dst as 4-byte and
-    widths as 8-byte integers, 32 bytes a demand. Without `record`, the
-    draws are decoded for one generator alone and kept by none."""
+    widths as 8-byte integers, 32 bytes a demand."""
 
-    def __init__(self, profile: DemandProfile, node_count: int, replication: int = 0,
-                 record: bool = True):
+    def __init__(self, profile: DemandProfile, node_count: int, replication: int = 0):
+        # imported here: a shared library whose pages only a recording run needs
+        from array import array
         self.key = stream_key(profile, node_count, replication)
-        # a list mixing an int above 2**63 - 1 with a small one would turn float64
-        self.bit_generator = np.random.Philox(
-            key=np.array([profile.seed, replication], dtype=np.uint64))
+        self.bit_generator = _philox(profile, replication)
         self._decoded = _decode(self.bit_generator, node_count, profile.max_demand)
-        self._columns = ()
-        if record:
-            # imported here: a shared library whose pages only a recording run needs
-            from array import array
-            self._columns = tuple(map(array, "dIIQd"))
+        self._columns = tuple(map(array, "dIIQd"))
 
     def chunks(self) -> Iterator[Iterable[tuple]]:
         """Iterables of (e1, src, dst, width, e2) that together give the
@@ -255,7 +251,7 @@ class Draws:
     @property
     def recorded(self) -> int:
         """The number of draws recorded."""
-        return len(self._columns[0]) if self._columns else 0
+        return len(self._columns[0])
 
 
 class DemandGenerator:
@@ -267,15 +263,18 @@ class DemandGenerator:
         if node_count < 2:
             raise ValueError("need at least 2 nodes")
         if draws is None:
-            draws = Draws(profile, node_count, replication, record=False)
-        elif draws.key != stream_key(profile, node_count, replication):
+            self.bit_generator = _philox(profile, replication)
+            chunks = _decode(self.bit_generator, node_count, profile.max_demand)
+        elif draws.key == stream_key(profile, node_count, replication):
+            self.bit_generator = draws.bit_generator
+            chunks = draws.chunks()
+        else:
             raise ValueError(f"stream {stream_key(profile, node_count, replication)} "
                              f"cannot read the draws of stream {draws.key}")
-        self.bit_generator = draws.bit_generator
         # the stream reads the profile from this cell, not from self: a
         # stream that held self would live on in a cycle after its last use
         self._profile = [profile]
-        self.stream = _demands(node_count, draws.chunks(), self._profile)
+        self.stream = _demands(node_count, chunks, self._profile)
 
     @property
     def profile(self) -> DemandProfile:

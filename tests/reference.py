@@ -8,6 +8,13 @@ import heapq
 import itertools
 
 
+def link_ends(t, lid):
+    """(src, dst) of directed link `lid` of topology `t`: fiber lid // 2,
+    read forward for an even id and reversed for an odd one."""
+    a, b = t.fibers[lid // 2]
+    return (a, b) if lid % 2 == 0 else (b, a)
+
+
 def max_run(bits):
     best = cur = 0
     for b in bits:

@@ -62,7 +62,7 @@ class TestSnapshot:
         assert code == 3
         assert "i/o error" in err and "absent.json" in err
 
-    @pytest.mark.parametrize("flag", ["--topology", "--paths"])
+    @pytest.mark.parametrize("flag", ["--topology", "--paths", "--config"])
     def test_malformed_input_file_exits_2(self, capsys, tmp_path, flag):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -70,7 +70,17 @@ class TestSnapshot:
                 "--arrivals", "0", flag, str(bad)]
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "cannot parse" in err
+        assert "cannot parse" in err and str(bad) in err
+
+    @pytest.mark.parametrize("flag", ["--topology", "--paths", "--config"])
+    def test_non_utf8_input_file_exits_2(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = ["dump-state", "--topology", data_file("fig_example.json"),
+                "--arrivals", "0", flag, str(bad)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "cannot parse" in err and str(bad) in err
 
     @pytest.mark.parametrize("nodes, slices, fibers, named", [
         (1, 8, [], "no fibers"),
@@ -138,6 +148,14 @@ class TestSnapshot:
 
 
 class TestConfig:
+    def test_unreadable_config_file_exits_3(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        code, _, err = run_cli(capsys, "dump-state", "--topology",
+                               data_file("fig_example.json"), "--config", absent,
+                               "--arrivals", "0")
+        assert code == 3
+        assert "i/o error" in err and "absent.json" in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"topology": data_file("fig_example.json"),

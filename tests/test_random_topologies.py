@@ -22,7 +22,8 @@ from fragsim.cli import main
 from fragsim.engine import Simulation
 from fragsim.topology import Topology, build_beta_paths
 from fragsim.traffic import DemandProfile
-from reference import ref_alpha, ref_best_cover, ref_beta, ref_lefm, ref_one_hop_avoidable
+from reference import (link_ends, ref_alpha, ref_best_cover, ref_beta, ref_lefm,
+                       ref_one_hop_avoidable)
 
 CASES = 30
 
@@ -58,7 +59,7 @@ def check_cover(t, ps, requested):
     for nodes, links in zip(ps.node_paths, ps.paths):
         assert len(nodes) == len(links) + 1
         for i, lid in enumerate(links):
-            assert (t.links[lid].src, t.links[lid].dst) == (nodes[i], nodes[i + 1])
+            assert link_ends(t, lid) == (nodes[i], nodes[i + 1])
     least = max(1, odd_nodes(t.node_count, t.fibers) // 2)
     if requested is None:
         assert not ps.warning

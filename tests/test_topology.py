@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import data_file, write_topology
-from reference import _ref_pairings, ref_best_cover, ref_one_hop_avoidable
+from reference import _ref_pairings, link_ends, ref_best_cover, ref_one_hop_avoidable
 from fragsim import cover
 from fragsim.topology import (BetaPathSet, Topology, TopologyError,
                               all_pairs_routes, build_beta_paths,
@@ -35,8 +35,9 @@ class TestLoad:
         assert t.node_count == 2
         assert t.link_count == 2
         assert t.slice_count == 8
-        assert (t.links[0].src, t.links[0].dst) == (0, 1)
-        assert (t.links[1].src, t.links[1].dst) == (1, 0)
+        assert link_ends(t, 0) == (0, 1)
+        assert link_ends(t, 1) == (1, 0)
+        assert t.adjacency == [[(1, 0)], [(0, 1)]]
 
     def test_nsfnet(self):
         t = load_topology(data_file("nsfnet.json"))
@@ -80,12 +81,12 @@ class TestShortestPath:
     def test_triangle_direct(self, triangle):
         r = all_pairs_routes(triangle)[(0, 2)]
         assert len(r) == 1
-        assert triangle.links[r[0]].src == 0 and triangle.links[r[0]].dst == 2
+        assert link_ends(triangle, r[0]) == (0, 2)
 
     def test_line_unique(self, line4):
         r = all_pairs_routes(line4)[(0, 3)]
         assert len(r) == 3
-        assert [line4.links[l].src for l in r] == [0, 1, 2]
+        assert [link_ends(line4, l)[0] for l in r] == [0, 1, 2]
 
     def test_square_with_diagonal_matches_bfs(self):
         fibers = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
@@ -115,14 +116,14 @@ class TestShortestPath:
     def test_route_is_valid_chain(self, triangle):
         r = all_pairs_routes(triangle)[(1, 2)]
         for a, b in zip(r, r[1:]):
-            assert triangle.links[a].dst == triangle.links[b].src
+            assert link_ends(triangle, a)[1] == link_ends(triangle, b)[0]
         assert len(set(r)) == len(r)
 
     def test_tie_break_lowest_node(self):
         # two 2-hop routes 0-1-3 and 0-2-3: predecessor 1 must win
         t = Topology("tie", 4, [(0, 1), (0, 2), (1, 3), (2, 3)], 8)
         r = all_pairs_routes(t)[(0, 3)]
-        assert [t.links[l].src for l in r] == [0, 1]
+        assert [link_ends(t, l)[0] for l in r] == [0, 1]
 
     def test_all_pairs_matches_single(self, triangle):
         # every pair of the triangle is adjacent: each route is its one link
@@ -130,8 +131,8 @@ class TestShortestPath:
         for s in range(3):
             for d in range(3):
                 if s != d:
-                    assert routes[(s, d)] == [ln.id for ln in triangle.links
-                                              if (ln.src, ln.dst) == (s, d)]
+                    assert routes[(s, d)] == [lid for lid in range(triangle.link_count)
+                                              if link_ends(triangle, lid) == (s, d)]
 
     def test_same_endpoints_rejected(self, triangle):
         routes = all_pairs_routes(triangle)
@@ -272,7 +273,7 @@ class TestBetaPaths:
             for nodes, links in zip(ps.node_paths, ps.paths):
                 assert len(nodes) == len(links) + 1
                 for i, lid in enumerate(links):
-                    assert (t.links[lid].src, t.links[lid].dst) == (nodes[i], nodes[i + 1])
+                    assert link_ends(t, lid) == (nodes[i], nodes[i + 1])
             assert len(ps.paths) == odd // 2
             assert min(ps.hop_counts) >= 2, (n, seed, ps.hop_counts)
             assert not rejoin_lengthens_shorter(ps.node_paths)
@@ -343,8 +344,7 @@ class TestBetaPaths:
         for nodes, links in zip(ps.node_paths, ps.paths):
             assert len(nodes) == len(links) + 1
             for i, lid in enumerate(links):
-                assert t.links[lid].src == nodes[i]
-                assert t.links[lid].dst == nodes[i + 1]
+                assert link_ends(t, lid) == (nodes[i], nodes[i + 1])
 
     def test_requested_count_split(self):
         t = load_topology(data_file("nsfnet.json"))
