@@ -1,7 +1,14 @@
 """Command-line surface.
 
-The commands are named once, in `COMMANDS`; one parser reads the command,
-the state file of `snapshot` and every option, before or after the command.
+The commands are named once, in `COMMANDS`, and the options once, in
+`OPTIONS`. A plain command line is one of exact `--flag value` pairs of
+`FLAGS`, each value not starting with "-" and accepted by its flag's
+parser, with the command and then, for `snapshot` alone, its state file
+anywhere among them. `read_plain` reads such a line from those tables
+alone, so a well-formed run never loads argparse. Every other line goes to
+the argparse parser of `build_parser`, which serves help, usage and every
+parse error.
+
 Run parameters come from a JSON config file with individual flag overrides
 (flags > file > defaults). Every experiment directory gets a metadata.json
 sufficient to re-execute the run exactly. Exit codes: 0 ok, 2 config or
@@ -9,11 +16,11 @@ validation error, 3 I/O error."""
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .engine import (ESCALATE_EVERY, ESCALATE_FACTOR, Simulation, make_grid,
@@ -55,6 +62,9 @@ OPTIONS = (
     ("scan_max_arrivals", int, 500000, None),
 )
 DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
+# flag: (key, parser, help) of --config and of every option
+FLAGS = {"--" + key.replace("_", "-"): (key, parser, help_)
+         for key, parser, _, help_ in [("config", str, None, "JSON config file"), *OPTIONS]}
 
 
 def _parse(key: str, value, source: str):
@@ -183,8 +193,11 @@ def _processes(res):
 
 def cmd_snapshot(cfg, state_file) -> int:
     topo, paths = _load_inputs(cfg)
-    with open(state_file) as fh:
-        state = SpectrumState.parse(fh.read(), topo.link_count, topo.slice_count)
+    with open(state_file, encoding="utf-8") as fh:
+        try:
+            state = SpectrumState.parse(fh.read(), topo.link_count, topo.slice_count)
+        except ValueError as exc:  # not UTF-8, or not a state dump of this topology
+            raise ValueError(f"cannot parse state file {state_file}: {exc}") from exc
     bounds = compute_bounds(topo, paths)
     rep = snapshot_report(state, paths, bounds)
     for name in METRICS:
@@ -282,7 +295,36 @@ COMMANDS = {
 }
 
 
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser` reads from `argv` if that is a plain
+    line, else None. A repeated flag keeps its last value, as in argparse."""
+    args = {key: None for key, _, _ in FLAGS.values()}
+    positionals = []
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        spec = FLAGS.get(word)
+        value = next(words, "-")
+        if spec is None or value.startswith("-"):
+            return None
+        key, parser, _ = spec
+        try:
+            args[key] = parser(value)
+        except ValueError:
+            return None
+    command, state = (positionals + [None, None])[:2]
+    if (len(positionals) > 2 or command not in COMMANDS
+            or (state is None) == (command == "snapshot")):
+        return None
+    return SimpleNamespace(**args, command=command, state=state)
+
+
 def build_parser():
+    """The argparse parser of the lines `read_plain` leaves; it serves help,
+    usage and every parse error."""
+    import argparse  # loaded only for a line that is not plain
     ap = argparse.ArgumentParser(
         prog="fragsim", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Spectrum fragmentation metrics and dynamic-traffic simulation for EONs",
@@ -291,20 +333,23 @@ def build_parser():
             for name, (_, help_, every) in COMMANDS.items()))
     ap.add_argument("command", choices=COMMANDS, metavar="command", help="see below")
     ap.add_argument("state", nargs="?", help="state dump file (snapshot only)")
-    ap.add_argument("--config", help="JSON config file")
-    for key, parser, _, help_ in OPTIONS:
-        ap.add_argument("--" + key.replace("_", "-"), dest=key, type=parser, help=help_)
+    for flag, (key, parser, help_) in FLAGS.items():
+        ap.add_argument(flag, dest=key, type=parser, help=help_)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    # intermixed: the state file may follow the options
-    args = ap.parse_intermixed_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_plain(argv)
+    if args is None:
+        ap = build_parser()
+        # intermixed: the state file may follow the options
+        args = ap.parse_intermixed_args(argv)
+        if (args.state is None) == (args.command == "snapshot"):
+            ap.error("the following arguments are required: state" if args.state is None
+                     else f"unrecognized arguments: {args.state}")
     fn, _, sample_every = COMMANDS[args.command]
-    if (args.state is None) == (args.command == "snapshot"):
-        ap.error("the following arguments are required: state" if args.state is None
-                 else f"unrecognized arguments: {args.state}")
     try:
         cfg = _resolve_config(args)
         if cfg["sample_every"] is None:

@@ -151,7 +151,10 @@ class SpectrumState:
             if not line or line.startswith("#"):
                 continue
             head, _, bits = line.partition(":")
-            lid = int(head)
+            try:
+                lid = int(head)
+            except ValueError:
+                raise ValueError(f"bad link id {head.strip()!r} in state dump") from None
             bits = bits.strip()
             if not (0 <= lid < link_count) or lid in seen:
                 raise ValueError(f"bad link id {lid} in state dump")

@@ -18,8 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .cover import min_trail_cover
-
 
 class TopologyError(ValueError):
     """Raised when a topology, path or config file fails validation."""
@@ -197,6 +195,7 @@ def build_beta_paths(t: Topology, requested_count: int | None = None) -> BetaPat
     requested cardinality; when it cannot be met the achieved cover is
     returned with the warning flag set.
     """
+    from .cover import min_trail_cover  # compiled only by a run that builds a cover
     # per node, (neighbour, fiber id) in sorted order: the link order of adjacency
     adj = [[(v, lid // 2) for v, lid in out] for out in t.adjacency]
     trails = min_trail_cover(adj, t.fibers)

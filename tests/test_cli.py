@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,7 +11,7 @@ import pytest
 
 import fragsim
 from conftest import data_file, write_topology
-from fragsim.cli import COMMANDS, main
+from fragsim.cli import COMMANDS, FLAGS, build_parser, main, read_plain
 from fragsim.metrics import CSV_HEADER
 from fragsim.topology import build_beta_paths, load_beta_paths, load_topology
 from test_golden_outputs import RUNS
@@ -81,6 +84,19 @@ class TestSnapshot:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "cannot parse" in err and str(bad) in err
+
+    @pytest.mark.parametrize("content, named", [
+        (b"\xff\n", "can't decode byte 0xff"),
+        (b"x: 0101\n", "bad link id 'x'"),
+        (b"0: 0000\n1: 0000\n", "bitmap must be"),
+    ])
+    def test_unparsable_state_file_is_named(self, capsys, tmp_path, content, named):
+        state = tmp_path / "state.txt"
+        state.write_bytes(content)
+        code, _, err = run_cli(capsys, "snapshot", str(state),
+                               "--topology", data_file("fig_example.json"))
+        assert code == 2
+        assert err.startswith(f"error: cannot parse state file {state}: ") and named in err
 
     @pytest.mark.parametrize("nodes, slices, fibers, named", [
         (1, 8, [], "no fibers"),
@@ -327,6 +343,157 @@ class TestParser:
         assert code == 0 and out.startswith("utilization 0.500000")
 
 
+# Values a flag may take; each flag's parser accepts some and refuses others.
+VALUES = ["0", "7", " 3", "1_0", "2.5", "nan", "1e3", "inf", "40,80", "8,16", "x", "",
+          "a.json", "transient", "snapshot"]
+
+
+def accepts(parser, value):
+    try:
+        parser(value)
+    except ValueError:
+        return False
+    return True
+
+
+def plain_line(rnd):
+    """A line of exact --flag value pairs, some flags repeated, with the
+    command and then snapshot's state file anywhere among them."""
+    command = rnd.choice(list(COMMANDS))
+    pairs = [[flag, rnd.choice([v for v in VALUES if accepts(FLAGS[flag][1], v)])]
+             for flag in rnd.choices(list(FLAGS), k=rnd.randrange(6))]
+    at = rnd.randrange(len(pairs) + 1)
+    pairs.insert(at, [command])
+    if command == "snapshot":
+        pairs.insert(rnd.randrange(at + 1, len(pairs) + 1), ["state.txt"])
+    return [word for pair in pairs for word in pair]
+
+
+def near_miss(rnd, words):
+    """`words` with one change that may make it no longer plain."""
+    words = list(words)
+    flags = [i for i, w in enumerate(words[:-1]) if w in FLAGS]
+    i = rnd.randrange(len(words) + 1)
+    kind = rnd.randrange(12)
+    if kind == 0:
+        words.insert(i, rnd.choice(["-h", "--help"]))
+    elif kind == 1 and flags:
+        j = rnd.choice(flags)
+        words[j] = words[j][:rnd.randrange(3, len(words[j]))]
+    elif kind == 2 and flags:
+        j = rnd.choice(flags)
+        words[j:j + 2] = [words[j] + "=" + words[j + 1]]
+    elif kind == 3 and flags:
+        words[rnd.choice(flags) + 1] = rnd.choice(["-1", "-x", "-", "--seed"])
+    elif kind == 4:
+        words.insert(i, "--")
+    elif kind == 5:
+        words += [rnd.choice(list(FLAGS))]
+    elif kind == 6 and flags:
+        words[rnd.choice(flags) + 1] = rnd.choice(VALUES)
+    elif kind == 7:
+        words.insert(i, rnd.choice(["extra", "state.txt", "nonsense"]))
+    elif kind == 8:
+        words = [w for w in words if w not in COMMANDS] + [rnd.choice(["trans", "nonsense"])]
+    elif kind == 9:
+        words = [w for w in words if w != "state.txt"]
+    elif kind == 10:
+        words[i:i] = ["--bogus", "1"]
+    elif kind == 11:
+        words = []
+    return words
+
+
+def argparse_namespace(argv):
+    """vars() of what main reads from `argv` through argparse, or None
+    where that exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_intermixed_args(argv)
+        except SystemExit:
+            return None
+    return None if (args.state is None) == (args.command == "snapshot") else vars(args)
+
+
+class TestPlainReader:
+    def test_plain_lines_read_as_argparse_reads_them(self):
+        rnd = random.Random(23)
+        for _ in range(1000):
+            argv = plain_line(rnd)
+            got = read_plain(argv)
+            # repr, since nan is a value and nan != nan
+            assert got is not None, argv
+            assert repr(vars(got)) == repr(argparse_namespace(argv)), argv
+
+    def test_other_lines_are_left_to_argparse(self):
+        rnd = random.Random(2301)
+        declined = 0
+        for _ in range(2000):
+            argv = near_miss(rnd, plain_line(rnd))
+            got = read_plain(argv)
+            if got is None:
+                declined += 1
+            else:
+                assert repr(vars(got)) == repr(argparse_namespace(argv)), argv
+        assert declined > 1000
+
+    @pytest.mark.parametrize("argv", [
+        ["transient", "--top", "t.json"],
+        ["transient", "--topology=t.json"],
+        ["transient", "--seed", "-1"],
+        ["transient", "--", "--seed", "1"],
+        ["transient", "-h"],
+        ["transient", "--seed"],
+        ["transient", "--seed", "1.5"],
+        ["transient", "--bogus", "1"],
+        ["nonsense"],
+        ["snapshot"],
+        ["transient", "state.txt"],
+        ["snapshot", "a", "b"],
+        [],
+    ])
+    def test_declines(self, argv):
+        assert read_plain(argv) is None
+
+
+# Prints whether argparse and fragsim.cover are loaded after `import
+# fragsim.cli` and after main(argv), then main's exit code.
+LOADED = """
+import sys
+import fragsim.cli
+loaded = lambda: [m in sys.modules for m in ("argparse", "fragsim.cover")]
+print(*loaded())
+code = fragsim.cli.main(sys.argv[1:])
+print(*loaded(), code)
+"""
+
+
+@pytest.mark.parametrize("command, after", [
+    # the shipped cover is read: neither module is needed
+    (["transient", "--paths", data_file("net_a_paths.json")], "False False 0"),
+    (["transient"], "False True 0"),
+])
+def test_plain_run_loads_no_argparse_and_cover_only_to_build_one(tmp_path, command, after):
+    argv = command + ["--topology", data_file("net_a.json"), "--arrivals", "20",
+                      "--sample-every", "5", "--replications", "1", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env_with_src(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == ["False False", after], proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["transient", "--bogus", "1"], 2)])
+def test_help_and_errors_are_argparse_text(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_intermixed_args(argv)
+    want = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "fragsim.cli", *argv],
+                          env=dict(env_with_src(), COLUMNS="80"),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)
+    assert (want.out if code == 0 else want.err).startswith("usage: fragsim")
+
+
 class TestOutputFiles:
     def test_mode_follows_umask(self, capsys, tmp_path):
         old = os.umask(0o022)
@@ -414,7 +581,8 @@ class TestMakePaths:
         assert code == 0
 
     def test_fiber_covered_twice_exits_2(self, capsys, tmp_path):
-        doc = json.loads(open(data_file("net_a_paths.json")).read())
+        with open(data_file("net_a_paths.json")) as fh:
+            doc = json.load(fh)
         doc["paths"].append([3, 0])
         paths = tmp_path / "paths.json"
         paths.write_text(json.dumps(doc))

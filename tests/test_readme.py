@@ -22,7 +22,7 @@ CLASSES = {name: obj for mod in MODULES.values() for name, obj in vars(mod).item
            if isinstance(obj, type) and obj.__module__ == mod.__name__}
 # the places that state a rule which the README only names
 RULES = ("engine.Simulation.take_sample", "engine._workers", "fragsim.traffic",
-         "spectrum.SpectrumState.find_first_fit")
+         "spectrum.SpectrumState.find_first_fit", "fragsim.cli")
 
 
 def dotted_names():

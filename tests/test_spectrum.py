@@ -382,3 +382,7 @@ class TestDump:
     def test_parse_rejects_missing_link(self):
         with pytest.raises(ValueError):
             SpectrumState.parse("0: 01010101\n", 2, 8)
+
+    def test_parse_names_a_link_id_that_is_no_integer(self):
+        with pytest.raises(ValueError, match="bad link id 'x' in state dump"):
+            SpectrumState.parse("x: 01010101\n1: 01010101\n", 2, 8)
