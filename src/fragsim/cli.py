@@ -145,9 +145,16 @@ def _profile(cfg) -> DemandProfile:
 
 def _atomic_write(path: str, text: str) -> None:
     """Write a file whole or not at all, through a temporary file beside it
-    that open() creates, so the mode follows the umask; its name holds the pid."""
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}")
-    fh = open(tmp, "x")
+    that open() creates, so the mode follows the umask. Its name holds the
+    pid and random bytes, and a name that is taken, such as a killed run's
+    leftover under a reused pid, is passed over and left alone."""
+    while True:
+        tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
+        try:
+            fh = open(tmp, "x")
+            break
+        except FileExistsError:
+            pass
     try:
         with fh:
             fh.write(text)
@@ -177,18 +184,6 @@ def _write_metadata(cfg, out_dir, extra):
     }
     _atomic_write(os.path.join(out_dir, "metadata.json"),
                   json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def _processes(res):
-    """Metadata of the processes a runner's replications ran in and of the
-    demand streams they decoded and replayed. With forked children, also
-    the peak resident set in MiB of the largest child."""
-    meta = {"processes": res.processes, "demand_streams": res.streams}
-    if res.processes > 1:
-        import resource  # not on Windows, which never forks here
-        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
-        meta["worker_peak_rss_mb"] = round(peak, 3)
-    return meta
 
 
 def cmd_snapshot(cfg, state_file) -> int:
@@ -241,8 +236,7 @@ def cmd_transient(cfg, _state_file) -> int:
             lines.append(f"{n},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "transient_summary.csv"), "\n".join(lines) + "\n")
     _write_metadata(cfg, out, {"experiment": "transient",
-                               "clamp_events": res.clamp_events,
-                               **_processes(res)})
+                               "clamp_events": res.clamp_events, **res.run})
     return 0
 
 
@@ -261,7 +255,7 @@ def cmd_sweep(cfg, _state_file) -> int:
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     _write_metadata(cfg, out, {"experiment": "sweep",
                                "clamp_events": sum(c.clamp_events for c in cells),
-                               **_processes(cells[0])})
+                               **cells[0].run})
     return 0
 
 

@@ -12,11 +12,12 @@ keeps no dict in step with the heap. The routes are the topology's cached
 table. Samples are scored a batch at a time, by the rule that
 `Simulation.take_sample` states, and whatever is still pending is scored
 before `run` or a runner returns. The runners repeat replications through
-`_replicate`. A sample's values are `Sample.values`, in SUMMARY_METRICS
-order, and every summary (mean and 99% Student-t half-width) is one
-`mean_ci99` reduction over axis 0 of rows of them: replications x points
-x metrics for a transient, samples x metrics per sweep window and
-replications x metrics per sweep cell.
+`_replicate`, which runs them here or in forked children and keeps the run
+record that `metadata.json` reports. A sample's values are
+`Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
+Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
+them: replications x points x metrics for a transient, samples x metrics
+per sweep window and replications x metrics per sweep cell.
 """
 
 from __future__ import annotations
@@ -213,17 +214,21 @@ def _workers(tasks: int, arrivals: int) -> int:
 
 
 def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProfile],
-               replications: int, drive, arrivals: int) -> tuple[list, int, dict[str, int]]:
+               replications: int, drive, arrivals: int) -> tuple[list[list], dict]:
     """drive(sim) on one fresh Simulation per (profile, replication index):
-    (results over replications, their summed clamp events) per profile, the
-    number of processes they ran in, and the numbers of demand streams
-    "decoded" and "replayed".
+    what the drives returned, over replications, per profile, and the run
+    record: the processes the tasks ran in, the demand streams "decoded"
+    and "replayed", and, when they forked, the children's largest peak
+    resident set in MiB.
 
     The tasks run replication-major, and the profiles of a replication that
     read one stream (`traffic`'s sharing rule) run side by side, as a group
     that reads one `Draws`. Each drive processes `arrivals` arrivals, which
-    sets whether the groups run in forked children (`_workers`,
-    `parallel.replicate`) or one after another here."""
+    sets whether the groups run in forked children (`_workers`) or one
+    after another here. Each child runs a contiguous part of the groups,
+    the parts differing by at most one group, so that a group shares one
+    process and one decoded stream; with fewer groups than children, each
+    task is a group of its own."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     n = topology.node_count
@@ -235,24 +240,31 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
         for group in groups:
             k, r = group[0]
             draws = Draws(profiles[k], n, r) if len(group) > 1 else None
-            for k, r in group:
-                sim = Simulation(topology, profiles[k], paths, r, draws)
-                runs.append((k, drive(sim), sim.clamp_events))
-        return runs, len(groups)
+            runs += [(k, drive(Simulation(topology, profiles[k], paths, r, draws)))
+                     for k, r in group]
+        return runs
 
     workers = _workers(len(profiles) * replications, arrivals)
+    record = {"processes": workers or 1}
     if workers:
+        import numpy.random  # noqa: F401 -- lazy in numpy 2: imported once here, not per child
         from . import parallel  # compiled only by a run that forks
-        parts = parallel.replicate(run, groups, workers, topology)
+        topology.routes  # noqa: B018 -- computed here once, not in every child
+        if len(groups) < workers:
+            groups = [[task] for group in groups for task in group]
+        parts, peak = parallel.run_forked(run, [
+            groups[len(groups) * w // workers:len(groups) * (w + 1) // workers]
+            for w in range(workers)])
+        runs = chain.from_iterable(parts)
+        record["worker_peak_rss_mb"] = round(peak / 1024, 3)  # ru_maxrss is KiB on Linux
     else:
-        parts = [run(groups)]
-    results, clamps = [[] for _ in profiles], [0] * len(profiles)
-    for k, res, c in chain.from_iterable(runs for runs, _ in parts):
+        runs = run(groups)
+    results = [[] for _ in profiles]
+    for k, res in runs:
         results[k].append(res)
-        clamps[k] += c
-    decoded = sum(d for _, d in parts)
-    return (list(zip(results, clamps)), workers or 1,
-            {"decoded": decoded, "replayed": len(profiles) * replications - decoded})
+    record["demand_streams"] = {"decoded": len(groups),
+                                "replayed": len(profiles) * replications - len(groups)}
+    return results, record
 
 
 @dataclass
@@ -262,8 +274,7 @@ class TransientResult:
     series: dict[str, list[tuple[float, float]]]
     replication_samples: list[list[Sample]]
     clamp_events: int
-    processes: int  # the replications ran in: 1 in this one, else forked children
-    streams: dict[str, int]  # demand streams "decoded" and "replayed"
+    run: dict  # `_replicate`'s run record
 
 
 def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet,
@@ -273,15 +284,14 @@ def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet
     if not 1 <= sample_every <= arrivals:
         raise ValueError(f"arrivals ({arrivals}) must be >= sample_every "
                          f"({sample_every}) >= 1, or the run takes no sample")
-    [(samples, clamps)], processes, streams = _replicate(
-        topology, paths, [profile], replications, lambda sim: sim.run(arrivals, sample_every),
-        arrivals)
+    [samples], run = _replicate(topology, paths, [profile], replications,
+                                lambda sim: sim.run(arrivals, sample_every), arrivals)
     mean, hw = mean_ci99([[s.values() for s in rep] for rep in samples])
     # (points x metrics) -> metric -> list over points of (mean, half-width)
     series = {name: list(zip(m, h)) for name, m, h
               in zip(SUMMARY_METRICS, mean.T.tolist(), hw.T.tolist())}
-    return TransientResult([s.arrivals for s in samples[0]], series, samples, clamps,
-                           processes, streams)
+    clamps = sum(s.report.clamped for rep in samples for s in rep)
+    return TransientResult([s.arrivals for s in samples[0]], series, samples, clamps, run)
 
 
 @dataclass
@@ -290,8 +300,7 @@ class SweepCell:
     # metric -> (mean, ci99 half-width) of the steady-state window average
     stats: dict[str, tuple[float, float]]
     clamp_events: int
-    processes: int  # the sweep's replications ran in: 1 in this one, else forked children
-    streams: dict[str, int]  # the sweep's demand streams "decoded" and "replayed"
+    run: dict  # the sweep's run record, from `_replicate`
 
 
 def make_grid(loads: list[float] | None, max_demands: list[int], seed: int,
@@ -316,20 +325,20 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
         raise ValueError(f"measure ({measure}) must be >= sample_every "
                          f"({sample_every}) >= 1, or the window holds no sample")
 
-    def window_means(sim: Simulation) -> list[float]:
+    def window_means(sim: Simulation) -> tuple[list[float], int]:
         sim._advance(islice(sim.gen.stream, warmup), 0)  # the warm-up, unsampled
         blocked0 = sim.blocked_requests
         sim.run(measure, sample_every)
         means = mean_ci99([s.values() for s in sim.samples])[0].tolist()
         # br_tr is the blocking ratio of the window, not a mean of cumulative ratios
         means[len(METRICS)] = (sim.blocked_requests - blocked0) / measure
-        return means
+        return means, sim.clamp_events
 
-    cells, processes, streams = _replicate(topology, paths, profiles, replications,
-                                           window_means, warmup + measure)
-    stats = [zip(*(x.tolist() for x in mean_ci99(rows))) for rows, _ in cells]
-    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), clamps, processes, streams)
-            for p, st, (_, clamps) in zip(profiles, stats, cells)]
+    cells, run = _replicate(topology, paths, profiles, replications, window_means,
+                            warmup + measure)
+    stats = [zip(*(x.tolist() for x in mean_ci99([means for means, _ in reps]))) for reps in cells]
+    return [SweepCell(p, dict(zip(SUMMARY_METRICS, st)), sum(c for _, c in reps), run)
+            for p, st, reps in zip(profiles, stats, cells)]
 
 
 # escalation of the offered load in run_utilization_scan

@@ -1,11 +1,11 @@
-"""A runner's replications run in forked child processes.
+"""A forked map: `run_forked` runs each part of a list in a forked child.
 
-`engine._replicate` hands its tasks here when `engine._workers` finds
-them worth forking for. `os.fork` hands each child the parent's memory,
-closures included, so no function is pickled: only each child's results,
-or its exception, travel back, through one pipe per child. The parent runs
-no task itself. This module is imported only by a run that forks, so a run
-that does not never compiles it.
+`os.fork` hands each child the parent's memory, closures included, so no
+function is pickled: only each child's result, or its exception, travels
+back, through one pipe per child. The parent runs no part itself, and it
+reaps every child before `run_forked` returns or raises. This module is
+imported only by a run that forks, so a run that does not never compiles
+it.
 """
 
 from __future__ import annotations
@@ -13,23 +13,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-
-
-def replicate(run, groups: list, workers: int, topology) -> list:
-    """[run(part) for part in parts], each part run by one of `workers`
-    forked children: a contiguous run of `groups`, the task groups of
-    `engine._replicate` in its order, so that a group's tasks share one
-    process and one decoded stream. With fewer groups than children, the
-    groups are split into single tasks, each decoding its own stream. The
-    parts differ by at most one group. What each child would otherwise
-    repeat is done here first: the topology's route table, and numpy's lazy
-    `numpy.random` import."""
-    import numpy.random  # noqa: F401 -- lazy in numpy 2: imported once here, not per child
-    topology.routes  # noqa: B018 -- computed here once, not in every child
-    if len(groups) < workers:
-        groups = [[task] for group in groups for task in group]
-    return _run_forked(run, [groups[len(groups) * k // workers:len(groups) * (k + 1) // workers]
-                             for k in range(workers)])
 
 
 def _child(run, part, w: int):
@@ -54,12 +37,15 @@ def _child(run, part, w: int):
         os._exit(status)
 
 
-def _run_forked(run, parts: list) -> list:
-    """[run(part) for part in parts], each run by a forked child of its own.
-    A child's exception is raised here with its type and message, caused by
-    its traceback. Every child is reaped before this returns or raises; if
-    it raises, the children still running are killed first."""
-    results, children = [], []  # (pid, read end of its pipe)
+def run_forked(run, parts: list) -> tuple[list, int]:
+    """([run(part) for part in parts], the largest `ru_maxrss` of the
+    children), each part run by a forked child of its own. The peak is read
+    from `os.wait4` as each child is reaped, so it covers these children
+    only (KiB on Linux). A child's exception is raised here with its type
+    and message, caused by its traceback. Every child is reaped before this
+    returns or raises; if it raises, the children still running are killed
+    first."""
+    results, children, peak = [], [], 0  # children: (pid, read end of its pipe)
     try:
         for part in parts:
             r, w = os.pipe()
@@ -90,5 +76,5 @@ def _run_forked(run, parts: list) -> list:
     finally:
         for pid, r in children:
             os.close(r)
-            os.waitpid(pid, 0)
-    return results
+            peak = max(peak, os.wait4(pid, 0)[2].ru_maxrss)
+    return results, peak

@@ -151,11 +151,11 @@ class SpectrumState:
             if not line or line.startswith("#"):
                 continue
             head, _, bits = line.partition(":")
-            try:
-                lid = int(head)
-            except ValueError:
-                raise ValueError(f"bad link id {head.strip()!r} in state dump") from None
-            bits = bits.strip()
+            head, bits = head.strip(), bits.strip()
+            # plain ASCII digits: int() would also take "+", "-", "_" and other digits
+            if not (head.isascii() and head.isdigit()):
+                raise ValueError(f"bad link id {head!r} in state dump")
+            lid = int(head)
             if not (0 <= lid < link_count) or lid in seen:
                 raise ValueError(f"bad link id {lid} in state dump")
             if len(bits) != slice_count or set(bits) - {"0", "1"}:

@@ -88,6 +88,9 @@ class TestSnapshot:
     @pytest.mark.parametrize("content, named", [
         (b"\xff\n", "can't decode byte 0xff"),
         (b"x: 0101\n", "bad link id 'x'"),
+        (b"+1: 0101\n", "bad link id '+1'"),
+        (b" 0_2: 0101\n", "bad link id '0_2'"),
+        (b"-0: 0101\n", "bad link id '-0'"),
         (b"0: 0000\n1: 0000\n", "bitmap must be"),
     ])
     def test_unparsable_state_file_is_named(self, capsys, tmp_path, content, named):
@@ -522,6 +525,26 @@ class TestOutputFiles:
         assert "i/o error" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cover"]
         assert list((tmp_path / "cover").iterdir()) == []
+
+    def test_leftover_temporary_file_does_not_block_a_write(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # a run killed before its rename leaves its temporary file behind; a
+        # later run with the same pid, or that draws the same name, writes
+        # past it and leaves it alone
+        taken = os.urandom(8).hex()
+        urandom = os.urandom
+        draws = iter([bytes.fromhex(taken)])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws, None) or urandom(n))
+        leftovers = [f".tmp-{os.getpid()}", f".tmp-{os.getpid()}-{taken}"]
+        for name in leftovers:
+            (tmp_path / name).write_text("killed")
+        assert run_cli(capsys, "transient", "--topology", data_file("fig_example.json"),
+                       "--load", "3", "--max-demand", "2", "--arrivals", "50",
+                       "--replications", "2", "--out", str(tmp_path))[0] == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(leftovers + ["metadata.json", "transient_rep0.csv",
+                                              "transient_rep1.csv", "transient_summary.csv"])
+        assert all((tmp_path / name).read_text() == "killed" for name in leftovers)
 
 
 class TestMakePaths:

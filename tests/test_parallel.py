@@ -91,8 +91,8 @@ def test_results_do_not_depend_on_usable_cpus(monkeypatch):
                         (tr.series, tr.replication_samples, tr.clamp_events)))
         # six sweep tasks, then two transient ones
         assert len(pids) == (0 if cpus == 1 else cpus + 2)
-        assert [c.processes for c in cells] == [cpus] * 2
-        assert tr.processes == min(cpus, 2)
+        assert [c.run["processes"] for c in cells] == [cpus] * 2
+        assert tr.run["processes"] == min(cpus, 2)
     assert results[1] == results[0] and results[2] == results[0]
 
 
@@ -114,15 +114,15 @@ def test_one_decode_per_stream_group(chain4, monkeypatch, cpus):
         sim.run(12, 4)
         return os.getpid(), list(decoded)
 
-    runs, processes, streams = engine._replicate(chain4, paths, profiles, 3, drive, 12)
+    runs, record = engine._replicate(chain4, paths, profiles, 3, drive, 12)
     # each process's decodes, as its last task saw them
     last = {}
-    for pid, calls in (report for results, _ in runs for report in results):
+    for pid, calls in (report for results in runs for report in results):
         last[pid] = max(last.get(pid, []), calls, key=len)
     assert sorted(key for calls in last.values() for key in calls) == sorted(
         (seed, r, max_demand) for seed in (4, 9) for r in range(3) for max_demand in (2, 3))
-    assert len(pids) == (cpus if cpus > 1 else 0) and processes == max(len(pids), 1)
-    assert streams == {"decoded": 12, "replayed": 12}
+    assert len(pids) == (cpus if cpus > 1 else 0) and record["processes"] == max(len(pids), 1)
+    assert record["demand_streams"] == {"decoded": 12, "replayed": 12}
 
 
 def test_fewer_groups_than_children_are_split(chain4, monkeypatch):
@@ -135,18 +135,19 @@ def test_fewer_groups_than_children_are_split(chain4, monkeypatch):
         use_cpus(monkeypatch, cpus)
         out.append(engine._replicate(chain4, paths, grid, 1, lambda sim: sim.run(30, 10), 30))
     assert out[0][0] == out[1][0]
-    assert out[0][1:] == (1, {"decoded": 1, "replayed": 1})
-    assert out[1][1:] == (2, {"decoded": 2, "replayed": 0})
+    assert out[0][1] == {"processes": 1, "demand_streams": {"decoded": 1, "replayed": 1}}
+    assert out[1][1].pop("worker_peak_rss_mb") > 0
+    assert out[1][1] == {"processes": 2, "demand_streams": {"decoded": 2, "replayed": 0}}
 
 
 def test_no_more_children_than_tasks(chain4, monkeypatch):
     use_cpus(monkeypatch, 8)
     pids = counting_forks(monkeypatch)
     paths = build_beta_paths(chain4)
-    runs, processes, _ = engine._replicate(chain4, paths, make_grid([5.0], [2], seed=4), 3,
-                                           lambda sim: sim.run(20, 5)[-1].arrivals, 20)
-    assert len(pids) == processes == 3
-    assert runs == [([20, 20, 20], 0)]
+    runs, record = engine._replicate(chain4, paths, make_grid([5.0], [2], seed=4), 3,
+                                     lambda sim: sim.run(20, 5)[-1].arrivals, 20)
+    assert len(pids) == record["processes"] == 3
+    assert runs == [[20, 20, 20]]
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
@@ -179,11 +180,41 @@ def test_forked_drives_see_the_parents_one_route_table(chain4, monkeypatch):
     grid = make_grid([5.0, 10.0], [2], seed=4)
     # each drive reports the calls its process had seen and its table's
     # address, which a table copied by fork keeps
-    runs, processes, _ = engine._replicate(chain4, paths, grid, 3,
-                                           lambda sim: (len(calls), id(sim.routes)), 10)
-    seen = [report for results, _ in runs for report in results]
-    assert processes == 2 and len(calls) == 1
+    runs, record = engine._replicate(chain4, paths, grid, 3,
+                                     lambda sim: (len(calls), id(sim.routes)), 10)
+    seen = [report for results in runs for report in results]
+    assert record["processes"] == 2 and len(calls) == 1
     assert seen == [(1, id(chain4.routes))] * 6
+
+
+# Run in a fresh process: a child that writes 150 MiB, then a forked sweep
+# (argv[2:], written to argv[1]). Prints the first child's peak resident set
+# in MiB, then the sweep's worker_peak_rss_mb.
+EARLIER_CHILD = """
+import json, os, resource, subprocess, sys
+import fragsim.engine as engine
+from fragsim.cli import main
+
+engine.FORK_MIN_ARRIVALS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+subprocess.run([sys.executable, "-c", "x = b'x' * (150 << 20)"], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+if main(sys.argv[2:] + ["--out", sys.argv[1]]) == 0:
+    with open(os.path.join(sys.argv[1], "metadata.json")) as fh:
+        print(json.load(fh)["worker_peak_rss_mb"])
+"""
+
+
+def test_worker_peak_is_this_runs_children(tmp_path):
+    # the peak of children reaped before the run, by the same process, is
+    # not the run's: a fragsim worker forked from a fresh process holds far
+    # less than 150 MiB, so its peak is well below the earlier child's
+    argv, _ = RUNS["sweep"]
+    proc = subprocess.run([sys.executable, "-c", EARLIER_CHILD, str(tmp_path), *argv],
+                          env=env_with_src(), capture_output=True, text=True, timeout=120)
+    assert len(proc.stdout.split()) == 2, proc.stderr
+    earlier, workers = map(float, proc.stdout.split())
+    assert earlier > 150 and 0 < 2 * workers < earlier
 
 
 # Run with `python -O`, where assert statements are stripped: forks two
@@ -213,7 +244,7 @@ def reaped():
 
 def run(drive):
     try:
-        print(engine._replicate(topo, paths, profiles, 2, drive, 0)[1], reaped())
+        print(engine._replicate(topo, paths, profiles, 2, drive, 0)[1]["processes"], reaped())
     except BaseException as exc:
         print(type(exc).__name__, str(exc).replace(" ", "_") or "-", reaped())
 

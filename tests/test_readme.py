@@ -21,8 +21,8 @@ MODULES = {m.name: importlib.import_module(f"fragsim.{m.name}")
 CLASSES = {name: obj for mod in MODULES.values() for name, obj in vars(mod).items()
            if isinstance(obj, type) and obj.__module__ == mod.__name__}
 # the places that state a rule which the README only names
-RULES = ("engine.Simulation.take_sample", "engine._workers", "fragsim.traffic",
-         "spectrum.SpectrumState.find_first_fit", "fragsim.cli")
+RULES = ("engine.Simulation.take_sample", "engine._workers", "engine._replicate",
+         "fragsim.traffic", "spectrum.SpectrumState.find_first_fit", "fragsim.cli")
 
 
 def dotted_names():
