@@ -12,8 +12,8 @@ keeps no dict in step with the heap. The routes are the topology's cached
 table. Samples are scored a batch at a time, by the rule that
 `Simulation.take_sample` states, and whatever is still pending is scored
 before `run` or a runner returns. The runners repeat replications through
-`_replicate`, which runs them here or in forked children and keeps the run
-record that `metadata.json` reports. A sample's values are
+`_replicate`, which runs them here, alone or beside forked children, and
+keeps the run record that `metadata.json` reports. A sample's values are
 `Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
 Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
 them: replications x points x metrics for a transient, samples x metrics
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, islice
 from operator import is_not
+from time import perf_counter
 from typing import NamedTuple
 
 # snapshot_report and all_pairs_routes are not called here;
@@ -192,21 +193,23 @@ class Simulation:
         return self.samples[first:]
 
 
-# the threshold of `_workers`, in arrivals a child: below it, the fork, the
-# pages the children copy and the pickled results cost more than the second
-# CPU saves. On a 2-vCPU Xeon, two children took, against the same tasks
-# run in one process (median of 9): German transients sampled every 5,
-# 1.50x at 1,000 arrivals a child and 0.76x at 2,000; NSFNET sweeps sampled
-# every 100, 1.41x, 1.03x and 0.64x at 1,000, 2,000 and 4,000.
+# the threshold of `_workers`, in arrivals a process. On a 2-vCPU Xeon, the
+# parent and one child took, against the same two tasks run in one process
+# (median of 60 adjacent pairs): German transients sampled every 5, 0.72x,
+# 0.70x and 0.72x at 1,000, 2,000 and 4,000 arrivals a process; NSFNET
+# sweeps sampled every 100, 0.97x, 0.75x and 0.69x. At 1,000 the fork, the
+# pages the child copies and the pickled results cost a sweep about what the
+# second CPU saves; from 2,000 both kinds of run gain.
 FORK_MIN_ARRIVALS = 2000
 
 
 def _workers(tasks: int, arrivals: int) -> int:
-    """The forked children that run `tasks` tasks of `arrivals` arrivals
-    each: one per usable CPU and at most one per task. 0, to run them in
-    this process, where `os.fork` or `os.sched_getaffinity` is missing,
-    where one CPU is usable, or where an even share of the tasks would give
-    some child fewer than FORK_MIN_ARRIVALS arrivals."""
+    """The processes that run `tasks` tasks of `arrivals` arrivals each,
+    this one and a forked child for each other: one per usable CPU and at
+    most one per task. 0, to run them in this process without forking,
+    where `os.fork` or `os.sched_getaffinity` is missing, where one CPU is
+    usable, or where an even share of the tasks would give some process
+    fewer than FORK_MIN_ARRIVALS arrivals."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
     workers = min(len(os.sched_getaffinity(0)), tasks)
@@ -218,17 +221,19 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
     """drive(sim) on one fresh Simulation per (profile, replication index):
     what the drives returned, over replications, per profile, and the run
     record: the processes the tasks ran in, the demand streams "decoded"
-    and "replayed", and, when they forked, the children's largest peak
-    resident set in MiB.
+    and "replayed", each process's wall time on its part of the tasks in
+    seconds (`part_wall_s`, this process first), and, when they forked, the
+    children's largest peak resident set in MiB.
 
     The tasks run replication-major, and the profiles of a replication that
     read one stream (`traffic`'s sharing rule) run side by side, as a group
     that reads one `Draws`. Each drive processes `arrivals` arrivals, which
-    sets whether the groups run in forked children (`_workers`) or one
-    after another here. Each child runs a contiguous part of the groups,
-    the parts differing by at most one group, so that a group shares one
-    process and one decoded stream; with fewer groups than children, each
-    task is a group of its own."""
+    sets whether the groups run one after another here or are dealt to
+    `_workers` processes: this one, which runs the first part, and a forked
+    child for each other part. The parts are contiguous and differ by at
+    most one group, so that a group shares one process and one decoded
+    stream; with fewer groups than processes, each task is a group of its
+    own."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     n = topology.node_count
@@ -236,13 +241,13 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
 
     def run(groups):
         # group by group, so that one Draws at a time holds a record
-        runs = []
+        start, runs = perf_counter(), []
         for group in groups:
             k, r = group[0]
             draws = Draws(profiles[k], n, r) if len(group) > 1 else None
             runs += [(k, drive(Simulation(topology, profiles[k], paths, r, draws)))
                      for k, r in group]
-        return runs
+        return perf_counter() - start, runs
 
     workers = _workers(len(profiles) * replications, arrivals)
     record = {"processes": workers or 1}
@@ -255,15 +260,15 @@ def _replicate(topology: Topology, paths: BetaPathSet, profiles: list[DemandProf
         parts, peak = parallel.run_forked(run, [
             groups[len(groups) * w // workers:len(groups) * (w + 1) // workers]
             for w in range(workers)])
-        runs = chain.from_iterable(parts)
         record["worker_peak_rss_mb"] = round(peak / 1024, 3)  # ru_maxrss is KiB on Linux
     else:
-        runs = run(groups)
+        parts = [run(groups)]
     results = [[] for _ in profiles]
-    for k, res in runs:
+    for k, res in chain.from_iterable(runs for _, runs in parts):
         results[k].append(res)
     record["demand_streams"] = {"decoded": len(groups),
                                 "replayed": len(profiles) * replications - len(groups)}
+    record["part_wall_s"] = [round(wall, 6) for wall, _ in parts]
     return results, record
 
 

@@ -1,6 +1,6 @@
-"""Replications run in forked children: the same bytes as in one process,
-no more children than tasks, every child reaped, and its errors raised in
-the parent."""
+"""Replications run in the parent and forked children: the same bytes as in
+one process, no more processes than tasks, every child reaped, and its
+errors, or those of the parent's own part, raised in the parent."""
 
 import hashlib
 import json
@@ -58,11 +58,12 @@ def test_cli_bytes_and_metadata_forked_and_in_process(name, tmp_path, monkeypatc
         assert main(argv + ["--out", str(out)]) == 0
         written[fork] = {f: (out / f).read_bytes() for f in digests}
         meta = json.loads((out / "metadata.json").read_text())
-        assert len(pids) == (2 if fork else 0)
+        assert len(pids) == (1 if fork else 0)
         keys = {"config", "topology_sha256", "rng", "version", "experiment", "clamp_events",
-                "processes", "demand_streams"}
+                "processes", "demand_streams", "part_wall_s"}
         assert set(meta) == keys | ({"worker_peak_rss_mb"} if fork else set())
         assert meta["processes"] == (2 if fork else 1)
+        assert len(meta["part_wall_s"]) == meta["processes"] and min(meta["part_wall_s"]) > 0
         if fork:
             assert 0 < meta["worker_peak_rss_mb"] < 1 << 20
         streams[fork] = meta["demand_streams"]
@@ -89,18 +90,20 @@ def test_results_do_not_depend_on_usable_cpus(monkeypatch):
         tr = run_transient(t, profile, paths, arrivals=90, sample_every=9, replications=2)
         results.append(([(c.stats, c.clamp_events) for c in cells],
                         (tr.series, tr.replication_samples, tr.clamp_events)))
-        # six sweep tasks, then two transient ones
-        assert len(pids) == (0 if cpus == 1 else cpus + 2)
+        # six sweep tasks, then two transient ones, the parent running a part of each
+        assert len(pids) == (cpus - 1) + (min(cpus, 2) - 1)
         assert [c.run["processes"] for c in cells] == [cpus] * 2
         assert tr.run["processes"] == min(cpus, 2)
+        assert [len(c.run["part_wall_s"]) for c in cells] == [cpus] * 2
+        assert len(tr.run["part_wall_s"]) == min(cpus, 2)
     assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_one_decode_per_stream_group(chain4, monkeypatch, cpus):
     # each replication's profiles with one seed and max_demand decode one
-    # stream between them, in this process and in two or three children:
-    # whole groups are dealt to each child
+    # stream between them, in this process alone or with one or two
+    # children: whole groups are dealt to each process
     use_cpus(monkeypatch, cpus)
     decoded, decode = [], traffic._decode
     monkeypatch.setattr(traffic, "_decode", lambda bits, n, max_demand: decoded.append(
@@ -121,7 +124,7 @@ def test_one_decode_per_stream_group(chain4, monkeypatch, cpus):
         last[pid] = max(last.get(pid, []), calls, key=len)
     assert sorted(key for calls in last.values() for key in calls) == sorted(
         (seed, r, max_demand) for seed in (4, 9) for r in range(3) for max_demand in (2, 3))
-    assert len(pids) == (cpus if cpus > 1 else 0) and record["processes"] == max(len(pids), 1)
+    assert len(pids) == cpus - 1 and record["processes"] == len(pids) + 1 == len(last)
     assert record["demand_streams"] == {"decoded": 12, "replayed": 12}
 
 
@@ -135,6 +138,9 @@ def test_fewer_groups_than_children_are_split(chain4, monkeypatch):
         use_cpus(monkeypatch, cpus)
         out.append(engine._replicate(chain4, paths, grid, 1, lambda sim: sim.run(30, 10), 30))
     assert out[0][0] == out[1][0]
+    for processes, (_, record) in zip((1, 2), out):
+        walls = record.pop("part_wall_s")
+        assert len(walls) == processes and min(walls) > 0
     assert out[0][1] == {"processes": 1, "demand_streams": {"decoded": 1, "replayed": 1}}
     assert out[1][1].pop("worker_peak_rss_mb") > 0
     assert out[1][1] == {"processes": 2, "demand_streams": {"decoded": 2, "replayed": 0}}
@@ -146,7 +152,7 @@ def test_no_more_children_than_tasks(chain4, monkeypatch):
     paths = build_beta_paths(chain4)
     runs, record = engine._replicate(chain4, paths, make_grid([5.0], [2], seed=4), 3,
                                      lambda sim: sim.run(20, 5)[-1].arrivals, 20)
-    assert len(pids) == record["processes"] == 3
+    assert len(pids) + 1 == record["processes"] == 3
     assert runs == [[20, 20, 20]]
 
 
@@ -161,7 +167,7 @@ def test_in_process_without_fork_or_cpu_count(missing, monkeypatch):
 def test_fork_gate_counts_each_childs_arrivals(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     most = engine.FORK_MIN_ARRIVALS
-    # the child with fewer tasks runs 5 // 2 = 2 of them
+    # the process with fewer tasks (the parent) runs 5 // 2 = 2 of them
     assert engine._workers(5, most // 2) == 2
     assert engine._workers(5, most // 2 - 1) == 0
     assert engine._workers(1, 10 * most) == 0  # one task: no second CPU to use
@@ -217,10 +223,12 @@ def test_worker_peak_is_this_runs_children(tmp_path):
     assert earlier > 150 and 0 < 2 * workers < earlier
 
 
-# Run with `python -O`, where assert statements are stripped: forks two
-# children per run and prints, per run, what reached the parent and whether
-# every child was reaped. An atexit line shows that only the parent ran its
-# exit handlers.
+# Run with `python -O`, where assert statements are stripped: splits each
+# run between the parent and one child and prints, per run, what reached
+# the caller, whether it came caused by a child's traceback, and whether
+# every child was reaped. A failing drive fails in the child alone, or in
+# the parent alone while the child sleeps. An atexit line shows that only
+# the parent ran its exit handlers.
 FAILURES = """
 import atexit, os, signal, sys, time
 import fragsim.engine as engine
@@ -234,6 +242,7 @@ atexit.register(print, "atexit")
 topo = Topology("pair", 2, [(0, 1)], 8)
 paths = build_beta_paths(topo)
 profiles = [DemandProfile(1.0, 1.0, 1, 0)]
+PARENT = os.getpid()
 
 def reaped():
     try:
@@ -246,7 +255,14 @@ def run(drive):
     try:
         print(engine._replicate(topo, paths, profiles, 2, drive, 0)[1]["processes"], reaped())
     except BaseException as exc:
-        print(type(exc).__name__, str(exc).replace(" ", "_") or "-", reaped())
+        print(type(exc).__name__, str(exc).replace(" ", "_") or "-",
+              exc.__cause__ is not None, reaped())
+
+def in_child(fail):
+    return lambda sim: fail(sim) if os.getpid() != PARENT else 0
+
+def in_parent(fail):
+    return lambda sim: fail(sim) if os.getpid() == PARENT else time.sleep(60)
 
 def fault(sim):
     raise SpectrumFault("double free on link 0")
@@ -254,24 +270,33 @@ def fault(sim):
 def interrupted(sim):
     raise KeyboardInterrupt
 
+def own_part_interrupted(sim):
+    raise KeyboardInterrupt("own part")
+
 def killed(sim):
     os.kill(os.getpid(), signal.SIGKILL)
 
 def stop(signum, frame):
     raise KeyboardInterrupt("parent")
 
+def timed(drive):
+    start = time.monotonic()
+    run(drive)
+    print(time.monotonic() - start < 30)
+
 print(__debug__, "numpy.random" in sys.modules)
 run(lambda sim: sim.run(10, 5)[-1].arrivals)
 print("numpy.random" in sys.modules)
-run(fault)
-run(interrupted)
-run(killed)
-# interrupted in the parent while both children sleep: they are killed
+run(in_child(fault))
+run(in_child(interrupted))
+run(in_child(killed))
+# the parent's own part fails while the child sleeps: the child is killed
+timed(in_parent(fault))
+timed(in_parent(own_part_interrupted))
+# interrupted in the parent while it waits for the sleeping child
 signal.signal(signal.SIGALRM, stop)
 signal.setitimer(signal.ITIMER_REAL, 0.3)
-start = time.monotonic()
-run(lambda sim: time.sleep(60))
-print(time.monotonic() - start < 30)
+timed(in_child(lambda sim: time.sleep(60)))
 """
 
 
@@ -280,8 +305,33 @@ def test_child_failures_reach_the_parent_under_python_O():
                           capture_output=True, text=True, timeout=120)
     lines = proc.stdout.splitlines()
     assert lines[:4] == ["False False", "2 True", "True",
-                         "SpectrumFault double_free_on_link_0 True"], proc.stderr
-    assert lines[4] == "KeyboardInterrupt - True"
-    assert lines[5].startswith("RuntimeError worker_") and lines[5].endswith(" True")
+                         "SpectrumFault double_free_on_link_0 True True"], proc.stderr
+    assert lines[4] == "KeyboardInterrupt - True True"
+    assert lines[5].startswith("RuntimeError worker_") and lines[5].endswith(" False True")
     assert "ended_without_a_result" in lines[5]
-    assert lines[6:] == ["KeyboardInterrupt parent True", "True", "atexit"], proc.stderr
+    # the parent's own exceptions reach the caller as they were raised
+    assert lines[6:10] == ["SpectrumFault double_free_on_link_0 False True", "True",
+                           "KeyboardInterrupt own_part False True", "True"], proc.stderr
+    assert lines[10:] == ["KeyboardInterrupt parent False True", "True", "atexit"], proc.stderr
+
+
+# Prints whether `signal` is loaded after a forked `sweep` (argv[2:], written
+# to argv[1]) that fails nowhere, then the processes it ran in.
+SIGNAL_LOADED = """
+import json, os, sys
+import fragsim.engine as engine
+from fragsim.cli import main
+
+engine.FORK_MIN_ARRIVALS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+code = main(sys.argv[2:] + ["--out", sys.argv[1]])
+with open(os.path.join(sys.argv[1], "metadata.json")) as fh:
+    print("signal" in sys.modules, json.load(fh)["processes"], code)
+"""
+
+
+def test_forked_run_that_fails_nowhere_loads_no_signal(tmp_path):
+    argv, _ = RUNS["sweep"]
+    proc = subprocess.run([sys.executable, "-c", SIGNAL_LOADED, str(tmp_path), *argv],
+                          env=env_with_src(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["False", "2", "0"], proc.stderr
