@@ -255,7 +255,8 @@ def _betas(cn: np.ndarray, avail: np.ndarray) -> list[float | None]:
     cn, avail = cn[mask], avail[mask]
     out = []
     at = 0
-    for counts in mask.sum(axis=2).tolist():
+    # counted in the least type that holds the slice count, not in int64
+    for counts in mask.sum(axis=2, dtype=np.min_scalar_type(mask.shape[2])).tolist():
         # one state's ratios at a time; each trail's are one contiguous
         # slice, and np.add.reduce over it sums them in np.mean's order
         end = at + sum(counts)

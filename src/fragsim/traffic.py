@@ -11,10 +11,12 @@ Randomness comes from the counter-based Philox generator keyed by
 every run is reproducible from its metadata. Every draw is exactly the
 value `Generator.exponential` or `Generator.integers` would give, at a
 fraction of their per-call cost: `_decode` runs numpy's own algorithms on
-the raw Philox words.
+the raw Philox words, in numpy over a block of words at a time, and steps
+one draw at a time only through the periods of words where a draw leaves
+the fast path, about once in 23 demands.
 
-Decoding the words into standard draws (e1, src, dst, width, e2) is nearly
-all the cost; scaling them by a profile (`_demands`) is cheap. The sharing
+Decoding the words into standard draws (e1, src, dst, width, e2) is most of
+the cost; scaling them by a profile (`_demands`) is cheap. The sharing
 rule: streams with one seed, replication, node count and max_demand have
 the same standard draws, whatever their rates and holding times. A `Draws`
 decodes them once and replays its record to every `DemandGenerator` given
@@ -30,20 +32,24 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, starmap
+from operator import length_hint
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 RNG_NAME = "philox4x64"
 
-WORD_BLOCK = 64  # raw Philox words fetched per call
+# raw Philox words fetched per call: the block that `_decode` marks and
+# reads in numpy (its words after the last whole fast-path period carry over)
+WORD_BLOCK = 1024
 
 _WORD = 0xFFFFFFFF  # low 32-bit half of a raw Philox word
 _U53 = 2.0**-53     # a word's top 53 bits times this: numpy's next_double
 
 with open(os.path.join(os.path.dirname(__file__), "data", "exp_ziggurat.json")) as _fh:
     ZIG_EXP_R, _KE, _WE, _FE = map(json.load(_fh).get, ("r", "ke", "we", "fe"))
+_KE_ARRAY, _WE_ARRAY = np.array(_KE, dtype=np.int64), np.array(_WE)
 
 
 @dataclass(frozen=True)
@@ -150,54 +156,169 @@ def stream_groups(profiles: list[DemandProfile], node_count: int,
     return [[(k, r) for k in group] for r in range(replications) for group in groups]
 
 
-def _decode(bit_generator: np.random.Philox, n: int, max_demand: int) -> Iterator[list]:
+def _one_demand(word: Callable[[], int], kept: int | None,
+                bounds: list[tuple[int, int]]) -> tuple[tuple, int | None]:
+    """One demand's standard draws (e1, src, dst, width, e2) from the raw
+    words that `word` gives and the kept high half-word, if any, and the
+    half-word it keeps for the next demand: numpy's algorithms, step by
+    step, which `_decode` runs only where a draw leaves its fast path."""
+    w = word()
+    ri, idx = w >> 11, (w >> 3) & 0xFF
+    e1 = ri * _WE[idx] if ri < _KE[idx] else standard_exponential_unlikely(word, ri, idx)
+    draws = []
+    for bound, threshold in bounds:
+        m = 0
+        while bound > 1:
+            if kept is None:
+                w = word()
+                x, kept = w & _WORD, w >> 32
+            else:
+                x, kept = kept, None
+            m = x * bound
+            if (m & _WORD) >= threshold:
+                break
+        draws.append(m >> 32)
+    src, dst, width = draws
+    if dst >= src:
+        dst += 1
+    w = word()
+    ri, idx = w >> 11, (w >> 3) & 0xFF
+    e2 = ri * _WE[idx] if ri < _KE[idx] else standard_exponential_unlikely(word, ri, idx)
+    return (e1, src, dst, width + 1, e2), kept
+
+
+def _period(draws: list[bool]) -> tuple[list[list[int]], list[list[int]], int]:
+    """The layout of a fast-path period: the fewest demands, read with no
+    slow path and no rejection, after which no half-word is kept. Per
+    demand, the word offsets of e1 and e2 and the half-word offsets (2 *
+    word, + 1 for the high half) of the three integers, where `draws` says
+    which bounds draw; a bound of 1 gets offset 0, since any half times 1,
+    shifted right by 32, is its draw 0. Also the period's length in words."""
+    exps, halves, pos, kept = [], [], 0, None
+    while True:
+        e1, pos, hs = pos, pos + 1, []
+        for draw in draws:
+            if not draw:
+                hs.append(0)
+            elif kept is None:
+                hs.append(2 * pos)
+                kept, pos = 2 * pos + 1, pos + 1
+            else:
+                hs.append(kept)
+                kept = None
+        exps.append([e1, pos])
+        halves.append(hs)
+        pos += 1
+        if kept is None:
+            return exps, halves, pos
+
+
+def _decode(bit_generator: np.random.Philox, n: int, max_demand: int) -> Iterator[list[list]]:
     """The standard draws (e1, src, dst, width, e2) among n nodes, forever,
-    in lists of WORD_BLOCK demands: exactly what
-    `Generator(bit_generator)` would draw, from raw words fetched
-    WORD_BLOCK at a time and used in stream order. e1 and e2 are numpy's
+    as five lists, one per draw, per block of raw words: exactly what
+    `Generator(bit_generator)` would draw, from words fetched WORD_BLOCK at
+    a time and used in stream order. e1 and e2 are numpy's
     random_standard_exponential, a ziggurat (Marsaglia & Tsang 2000; tables
-    in `data/exp_ziggurat.json`) whose likely path (the candidate inside
-    its layer's rectangle) is written out here. Integers are
-    `integers(0, bound)` for 1 <= bound <= 2**32: numpy's
-    buffered_bounded_lemire_uint32, Lemire's bounded multiply with
+    in `data/exp_ziggurat.json`): its likely path takes the candidate
+    inside its layer's rectangle, and `standard_exponential_unlikely` does
+    the rest. Integers are `integers(0, bound)` for 1 <= bound <= 2**32:
+    numpy's buffered_bounded_lemire_uint32, Lemire's bounded multiply with
     rejection, on the low half of a fresh word, whose high half is kept for
     the next draw, or else on the kept half, as in Philox's next_uint32.
-    Bound 1 draws nothing."""
-    raw, ke, we, unlikely = (bit_generator.random_raw, _KE, _WE,
-                             standard_exponential_unlikely)
-    # iter(f, None) calls f until it returns None, which no block is
-    word = chain.from_iterable(iter(lambda: raw(WORD_BLOCK).tolist(), None)).__next__
-    kept = None  # high half of the last raw word, not yet used
+    Bound 1 draws nothing.
+
+    Off the slow paths, the words fall into periods (`_period`): 7 words per
+    2 demands when n >= 3 and max_demand >= 2, and 3 words per demand, or
+    5 per 2 demands, when a bound of 1 draws nothing. numpy marks, over a
+    whole block, each word where a period can start: all of its
+    exponentials inside their rectangles and all of its Lemire draws
+    accepted (a bound with threshold 0 never rejects). A walk from the
+    current word takes each run of such periods up to the next start that
+    is not marked, hands the period there to `_one_demand`, one demand at a
+    time until no half is kept, and resumes where it left the words. The
+    runs' values are computed together at the end of the block, and the
+    words after the last whole period carry over to the next block. About
+    2.2% of words miss the rectangle, so a 7-word period breaks about once
+    per 23 demands."""
+    raw = bit_generator.random_raw
     # a low part below (2**32 - bound) % bound (< bound) would bias the
     # result, so numpy redraws it
     bounds = [(bound, (2**32 - bound) % bound) for bound in (n, n - 1, max_demand)]
+    exps, halves, length = _period([bound > 1 for bound, _ in bounds])
+    per = len(exps)  # demands per period
+    # the Lemire draws that may reject: (bound, the half offsets it reads)
+    checks = [(np.uint32(bound), threshold, [hs[j] for hs in halves])
+              for j, (bound, threshold) in enumerate(bounds) if threshold]
+    exp_offsets = [o for pair in exps for o in pair]
+    exp_at, half_at = np.array(exps), np.array(halves)
+    factors = np.array([bound for bound, _ in bounds], dtype=np.uint64)
+
+    def block(words):
+        """The demands of `words`, and the words left over. No half is
+        kept between blocks: each ends after a whole period."""
+        starts = len(words) - length + 1  # a whole period fits from 0..starts-1
+        if starts <= 0:
+            return [[]] * 5, words
+        # the ziggurat's likely path for every word: its layer (bits 3-10,
+        # cut to uint8) and its candidate (the top 53 bits). Every compare
+        # here is on int64, exact below 2**63: the rest of the program pages
+        # in numpy's int64 loops, but not its uint64 or uint32 ones
+        idx, ri = (words >> 3).astype(np.uint8), words >> 11
+        miss = ri.view(np.int64) >= _KE_ARRAY[idx]
+        exp = ri * _WE_ARRAY[idx]  # exact: ri < 2**53
+        bad = np.zeros(starts, dtype=bool)  # no fast period starts at that word
+        for o in exp_offsets:
+            bad |= miss[o:][:starts]
+        half = words.astype("<u8", copy=False).view("<u4")  # low half, then high half
+        for bound, threshold, offsets in checks:
+            # the uint32 product is the low part
+            rejected = (half * bound).astype(np.int64) < threshold
+            for o in offsets:
+                bad |= rejected[o::2][:starts]
+        bad = bad.tolist()
+        # the walk: the good period starts, and the demands of the others
+        good, slow, i = [], [], 0
+        while i < starts:
+            if not bad[i]:
+                good.append(i)
+                i += length
+                continue
+            # the period at i leaves the fast path: one demand at a time
+            span = 2 * length
+            while True:
+                taken = words[i:i + span].tolist()
+                tape, period, kept = iter(taken), [], None
+                try:
+                    while not period or kept is not None:
+                        demand, kept = _one_demand(tape.__next__, kept, bounds)
+                        period.append(demand)
+                    break
+                except StopIteration:  # the slow paths ran past the words taken
+                    if i + span >= len(words):
+                        words = np.concatenate((words, raw(WORD_BLOCK)))
+                    span *= 2
+            i += len(taken) - length_hint(tape)
+            slow += enumerate(period, len(good) * per + len(slow))
+        columns = [[], [], [], [], []]
+        if good:
+            at = np.array(good)[:, None, None]
+            e1, e2 = exp[at + exp_at].reshape(-1, 2).T.tolist()
+            v = (half[2 * at + half_at].astype(np.uint64) * factors >> 32).view(np.int64)
+            v = v.reshape(-1, 3)
+            v[:, 1] += v[:, 1] >= v[:, 0]  # dst skips src
+            v[:, 2] += 1
+            columns = [e1, *v.T.tolist(), e2]
+        for j, column in enumerate(columns):
+            for k, demand in slow:
+                column.insert(k, demand[j])
+        return columns, words[i:]
+
+    words = np.empty(0, dtype=np.uint64)
     while True:
-        chunk = []
-        for _ in range(WORD_BLOCK):
-            w = word()
-            ri, idx = w >> 11, (w >> 3) & 0xFF
-            e1 = ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)
-            draws = []
-            for bound, threshold in bounds:
-                m = 0
-                while bound > 1:
-                    if kept is None:
-                        w = word()
-                        x, kept = w & _WORD, w >> 32
-                    else:
-                        x, kept = kept, None
-                    m = x * bound
-                    if (m & _WORD) >= threshold:
-                        break
-                draws.append(m >> 32)
-            src, dst, width = draws
-            if dst >= src:
-                dst += 1
-            w = word()
-            ri, idx = w >> 11, (w >> 3) & 0xFF
-            chunk.append((e1, src, dst, width + 1,
-                          ri * we[idx] if ri < ke[idx] else unlikely(word, ri, idx)))
-        yield chunk
+        # block's temporaries are gone before the yield
+        columns, words = block(np.concatenate((words, raw(WORD_BLOCK))))
+        if columns[0]:
+            yield columns
 
 
 def _demands(n: int, chunks, cell: list) -> Iterator[tuple[int, int, int, int, float, float]]:
@@ -242,9 +363,10 @@ class Draws:
             if i < self.recorded:
                 chunk = islice(zip(*self._columns), i, self.recorded)
             else:
-                chunk = next(self._decoded)
-                for column, values in zip(self._columns, zip(*chunk)):
-                    column.fromlist(list(values))
+                columns = next(self._decoded)
+                for column, values in zip(self._columns, columns):
+                    column.fromlist(values)
+                chunk = zip(*columns)
             i = self.recorded
             yield chunk
 
@@ -264,7 +386,7 @@ class DemandGenerator:
             raise ValueError("need at least 2 nodes")
         if draws is None:
             self.bit_generator = _philox(profile, replication)
-            chunks = _decode(self.bit_generator, node_count, profile.max_demand)
+            chunks = starmap(zip, _decode(self.bit_generator, node_count, profile.max_demand))
         elif draws.key == stream_key(profile, node_count, replication):
             self.bit_generator = draws.bit_generator
             chunks = draws.chunks()

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter, deque
-from itertools import islice
+from itertools import chain, islice
 from operator import length_hint
 
 import numpy as np
@@ -304,6 +304,42 @@ def test_readers_may_take_turns_and_change_rates():
                                      {1000: DemandProfile(1.0, 2.0, 7, 3)})
 
 
+def test_readers_take_turns_inside_one_block():
+    # turns of a few demands, the lead changing hands, all inside the first
+    # block that the Draws decodes: each reader reads its lone stream
+    profiles = [DemandProfile(2.0, 1.5, 16, 8), DemandProfile(7.0, 0.5, 16, 8)]
+    draws = traffic.Draws(profiles[0], 14, replication=3)
+    gens = [DemandGenerator(p, 14, 3, draws) for p in profiles]
+    got = [[], []]
+    first_block = None
+    for turn in range(12):
+        for k, size in enumerate((19 if turn % 2 else 3, 10)):
+            got[k] += islice(gens[k].stream, size)
+            first_block = first_block or draws.recorded
+    assert draws.recorded == first_block > max(map(len, got))
+    for k, profile in enumerate(profiles):
+        assert got[k] == independent(profile, 14, 3, len(got[k]))
+
+
+def philox_position(bit_generator):
+    """Where a Philox generator is in its stream."""
+    state = bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+def test_no_word_is_fetched_before_the_first_demand():
+    # a generator or a Draws is built lazily: its bit generator stays at the
+    # start of the stream until a demand is read
+    profile = DemandProfile(1.0, 1.0, 16, 5)
+    start = philox_position(np.random.Philox(key=[5, 2]))
+    draws = traffic.Draws(profile, 14, 2)
+    draws.chunks()  # a generator: nothing runs until it is read
+    for gen in (DemandGenerator(profile, 14, 2), DemandGenerator(profile, 14, 2, draws)):
+        assert philox_position(gen.bit_generator) == start
+        next(gen.stream)
+        assert philox_position(gen.bit_generator) != start
+
+
 @pytest.mark.parametrize("seed,max_demand,n,replication", [(6, 16, 14, 0), (5, 8, 14, 0),
                                                            (5, 16, 13, 0), (5, 16, 14, 1)])
 def test_other_streams_cannot_read_the_draws(seed, max_demand, n, replication):
@@ -374,6 +410,36 @@ def test_below_matches_generator_integers(bound):
             want = (demand_id, src, 1 - src, 1 + int(ref.integers(0, bound)), clock,
                     ref.exponential(2.0))
             assert next(gen.stream) == want, seed
+
+
+# 3 << 30 rejects a quarter of the width draws, and 1 << 31 puts the low part
+# at its zero threshold half the time; 2, 16 and 1 << 32 never reject
+@pytest.mark.parametrize("max_demand", [2, 7, 16, 3 << 30, 1 << 31, 1 << 32])
+@pytest.mark.parametrize("n", [3, 14, 17])
+def test_stream_matches_generator_one_draw_at_a_time(monkeypatch, n, max_demand):
+    # the standard draws against numpy's own, drawn one value at a time: the
+    # fast path, the fallback and the blocks' ends, where one, three or seven
+    # words to a block put every kind of break at a block's start and across
+    # its end
+    count, seed, replication = 5000, n * 1000 + max_demand % 997, max_demand % 3
+    profile = DemandProfile(1.0, 1.0, max_demand, seed)
+    ref = np.random.Generator(np.random.Philox(key=[seed, replication]))
+    want = []
+    for _ in range(count):
+        e1, src, dst, width = (ref.exponential(), int(ref.integers(0, n)),
+                               int(ref.integers(0, n - 1)), int(ref.integers(0, max_demand)))
+        want.append((e1, src, dst + (dst >= src), width + 1, ref.exponential()))
+    fallbacks = []
+    one_demand = traffic._one_demand
+    monkeypatch.setattr(traffic, "_one_demand", lambda *a: fallbacks.append(a) or one_demand(*a))
+    for block in (1, 3, 7, traffic.WORD_BLOCK):
+        monkeypatch.setattr(traffic, "WORD_BLOCK", block)
+        draws = traffic.Draws(profile, n, replication)
+        got = list(islice(chain.from_iterable(draws.chunks()), count))
+        assert got == want, block
+        assert {type(x) for demand in got for x in demand} == {int, float}
+        assert fallbacks, block
+        fallbacks.clear()
 
 
 class TestEventQueue:
