@@ -4,10 +4,8 @@ The commands are named once, in `COMMANDS`, and the options once, in
 `OPTIONS`. A plain command line is one of exact `--flag value` pairs of
 `FLAGS`, each value not starting with "-" and accepted by its flag's
 parser, with the command and then, for `snapshot` alone, its state file
-anywhere among them. `read_plain` reads such a line from those tables
-alone, so a well-formed run never loads argparse. Every other line goes to
-the argparse parser of `build_parser`, which serves help, usage and every
-parse error.
+anywhere among them. `read_plain` reads such a line without argparse,
+and `build_parser` every other line.
 
 Run parameters come from a JSON config file with individual flag overrides
 (flags > file > defaults). Every experiment directory gets a metadata.json
@@ -172,12 +170,16 @@ def _write_samples(path, samples) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_metadata(cfg, out_dir, extra):
-    with open(cfg["topology"], "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+def _cover_json(paths) -> str:
+    """The trail cover as `make-paths` writes it."""
+    return json.dumps({"paths": paths.node_paths}, indent=2) + "\n"
+
+
+def _write_metadata(cfg, topo, paths, out_dir, extra):
     meta = {
         "config": cfg,
-        "topology_sha256": digest,
+        "topology_sha256": topo.sha256,
+        "cover_sha256": hashlib.sha256(_cover_json(paths).encode()).hexdigest(),
         "rng": RNG_NAME,
         "version": __version__,
         **extra,
@@ -214,8 +216,7 @@ def cmd_dump_state(cfg, _state_file) -> int:
 
 
 def cmd_make_paths(cfg, _state_file) -> int:
-    paths = _build_paths(cfg, load_topology(cfg["topology"]))
-    text = json.dumps({"paths": paths.node_paths}, indent=2) + "\n"
+    text = _cover_json(_build_paths(cfg, load_topology(cfg["topology"])))
     if cfg["out"]:
         _atomic_write(cfg["out"], text)
     else:
@@ -235,8 +236,8 @@ def cmd_transient(cfg, _state_file) -> int:
             m, hw = res.series[name][i]
             lines.append(f"{n},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "transient_summary.csv"), "\n".join(lines) + "\n")
-    _write_metadata(cfg, out, {"experiment": "transient",
-                               "clamp_events": res.clamp_events, **res.run})
+    _write_metadata(cfg, topo, paths, out, {"experiment": "transient",
+                                            "clamp_events": res.clamp_events, **res.run})
     return 0
 
 
@@ -253,9 +254,9 @@ def cmd_sweep(cfg, _state_file) -> int:
             lines.append(f"{p.load:g},{p.max_demand},{p.arrival_rate_per_node:g},"
                          f"{p.mean_holding:g},{name},{m:.6f},{hw:.6f}")
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
-    _write_metadata(cfg, out, {"experiment": "sweep",
-                               "clamp_events": sum(c.clamp_events for c in cells),
-                               **cells[0].run})
+    _write_metadata(cfg, topo, paths, out, {"experiment": "sweep",
+                                            "clamp_events": sum(c.clamp_events for c in cells),
+                                            **cells[0].run})
     return 0
 
 
@@ -269,12 +270,12 @@ def cmd_scan(cfg, _state_file) -> int:
         print(f"warning: reached utilization {res.max_utilization:.4f} "
               f"< target {cfg['scan_target']}", file=sys.stderr)
     _write_samples(os.path.join(out, "scan.csv"), res.samples)
-    _write_metadata(cfg, out, {"experiment": "scan",
-                               "escalate_every": ESCALATE_EVERY,
-                               "escalate_factor": ESCALATE_FACTOR,
-                               "reached_target": res.reached_target,
-                               "clamp_events": res.clamp_events,
-                               "max_utilization": res.max_utilization})
+    _write_metadata(cfg, topo, paths, out, {"experiment": "scan",
+                                            "escalate_every": ESCALATE_EVERY,
+                                            "escalate_factor": ESCALATE_FACTOR,
+                                            "reached_target": res.reached_target,
+                                            "clamp_events": res.clamp_events,
+                                            "max_utilization": res.max_utilization})
     return 0
 
 

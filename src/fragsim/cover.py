@@ -86,12 +86,13 @@ def _pairings(lst):
 def _exhaustive(adj, fibers: list[tuple[int, int]], odd: list[int]) -> list[list[int]]:
     """Node lists of the first best-scoring candidate in (endpoint pair,
     pairing of the other odd nodes) order; with no odd node, of the closed
-    trail from node 0. Virtual edge F + p joins pairs[p], after the fibers
-    between its ends; each end's list with it is built once. A candidate
-    cuts into k = len(odd) / 2 trails (each odd node ends an odd number).
-    A walk stops at a piece shorter than the best's shortest, which cannot
-    win, so covers are those of full walks. No score beats (F // k,
-    -ceil(F / k), -k): the first to reach it ends the search."""
+    trail from node 0. A candidate's virtual edges join its pairs, so one
+    Euler trail runs between its endpoints; cut at them, it gives k =
+    len(odd) / 2 trails. Virtual edge F + p joins pairs[p], after the
+    fibers between its ends; each end's list with it is built once. A walk
+    stops at a piece shorter than the best's shortest, which cannot win, so
+    covers are those of full walks. No score beats (F // k, -ceil(F / k),
+    -k): the first to reach it ends the search."""
     F, k = len(fibers), max(1, len(odd) // 2)
     pairs = list(itertools.combinations(odd, 2))
     ends = [a ^ b for a, b in fibers + pairs]
@@ -225,8 +226,11 @@ def _balance(tn: list[list[int]], tf: list[list[int]]) -> None:
 
 def min_trail_cover(adj: list[list[tuple[int, int]]],
                     fibers: list[tuple[int, int]]) -> list[list[int]]:
-    """Node lists of a minimum trail cover of a connected graph, by the rule
-    `topology.build_beta_paths` documents."""
+    """Node lists of a minimum trail cover of a connected graph, balanced in
+    length, since one-hop trails carry no continuity information: up to
+    EXHAUSTIVE_ODD odd nodes the best candidate of `_exhaustive`; above
+    that, in polynomial time, the trails of `_walked_cover`, balanced by
+    `_balance`."""
     odd = [u for u, lst in enumerate(adj) if len(lst) % 2 == 1]
     if len(odd) > EXHAUSTIVE_ODD:
         tn, tf = _walked_cover(adj, fibers, odd)

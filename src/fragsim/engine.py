@@ -1,23 +1,12 @@
 """Discrete-event simulation: admit/route/allocate/release connections and
 sample fragmentation metrics.
 
-One Simulation is a single replication: its own spectrum state, demand
-stream and heap of pending departures. `_advance` is the one event loop,
-fed by `run` from the stream and by `step_arrival` with one demand. Each
-demand first releases the connections due by its arrival time (also those
-due at it), then takes the first window free on its route or is blocked.
-An active connection is recorded once, as its departure heap entry
-(departure time, id, route, mask), so the loop builds no `SliceRange` and
-keeps no dict in step with the heap. The routes are the topology's cached
-table. Samples are scored a batch at a time, by the rule that
-`Simulation.take_sample` states, and whatever is still pending is scored
-before `run` or a runner returns. The runners repeat replications through
-`_replicate`, which runs them here, alone or beside forked children, and
-keeps the run record that `metadata.json` reports. A sample's values are
-`Sample.values`, in SUMMARY_METRICS order, and every summary (mean and 99%
-Student-t half-width) is one `mean_ci99` reduction over axis 0 of rows of
-them: replications x points x metrics for a transient, samples x metrics
-per sweep window and replications x metrics per sweep cell.
+A `Simulation` is one replication, with its own spectrum state, demand
+stream and heap of pending departures, and one event loop, `_advance`,
+whose docstring states the order of events. `run_transient` and
+`run_steady_sweep` repeat replications through `_replicate` and summarize
+their samples with `metrics.mean_ci99`; `run_utilization_scan` drives one
+simulation toward a full spectrum.
 """
 
 from __future__ import annotations
@@ -109,8 +98,11 @@ class Simulation:
     def _advance(self, demands, sample_every: int):
         """Handle each (id, src, dst, width, arrival_time, holding_time) demand,
         sampling after every `sample_every`-th (0: never); the last one's
-        (route, mask), mask None if it was blocked. The counters and the
-        clock are locals, written back before each sample and at the end."""
+        (route, mask), mask None if it was blocked. Each demand first
+        releases the connections due by its arrival time, also those due at
+        it, then takes the first window free on its route or is blocked.
+        The counters and the clock are locals, written back before each
+        sample and at the end."""
         state, routes = self.state, self.routes
         heap, window = self.queue.heap, self._window
         # looked up on the instance now, so wrappers set on it are seen
@@ -160,8 +152,7 @@ class Simulation:
         wherever a batch ends."""
         window, pending = self._window, self._pending
         occ = self.state.occ.copy()
-        # the links whose int is not the previous sample's: SpectrumState
-        # replaces a link's int exactly when the link changes
+        # the links whose int is not the previous sample's (see SpectrumState)
         new = sum(map(is_not, occ, pending[-1][2])) if pending else len(occ)
         pending.append((self.clock, self.total_requests, occ, self.br_tr(),
                         sum(window) / len(window) if window else 0.0, new))
@@ -292,7 +283,6 @@ def run_transient(topology: Topology, profile: DemandProfile, paths: BetaPathSet
     [samples], run = _replicate(topology, paths, [profile], replications,
                                 lambda sim: sim.run(arrivals, sample_every), arrivals)
     mean, hw = mean_ci99([[s.values() for s in rep] for rep in samples])
-    # (points x metrics) -> metric -> list over points of (mean, half-width)
     series = {name: list(zip(m, h)) for name, m, h
               in zip(SUMMARY_METRICS, mean.T.tolist(), hw.T.tolist())}
     clamps = sum(s.report.clamped for rep in samples for s in rep)
@@ -346,7 +336,6 @@ def run_steady_sweep(topology: Topology, profiles: list[DemandProfile],
             for p, st, reps in zip(profiles, stats, cells)]
 
 
-# escalation of the offered load in run_utilization_scan
 ESCALATE_EVERY = 2000
 ESCALATE_FACTOR = 1.5
 

@@ -9,17 +9,9 @@ fragmented). lefm is the link-based external fragmentation baseline.
 All functions are pure over read-only snapshots. The "no free slice"
 situation is reported as None; snapshot_report maps it to the
 no-fragmentation convention (a fully busy spectrum is not fragmented).
-
-Alpha and beta both take longest free runs over the same free maps, alpha
-along each link's slices and beta along each trail's hops at every slice
-index. `snapshot_reports` scores a batch of saved states with one set of
-numpy calls (`_batch_runs` states how), and its link runs feed both alpha
-and lefm. snapshot_report is snapshot_reports on a batch of one, and
-compute_alpha, compute_beta and compute_lefm wrap the same private
-helpers, so each gives exactly the value snapshot_report reports.
-
-`mean_ci99` summarizes metric values over replications: their mean and
-99% Student-t half-width, with `t99` the critical value.
+`snapshot_reports` scores a batch of states, and snapshot_report,
+compute_alpha, compute_beta and compute_lefm each give exactly the value
+it reports for a batch of one. `mean_ci99` summarizes replicated values.
 """
 
 from __future__ import annotations
@@ -106,9 +98,12 @@ def t99(df: int) -> float:
 
 
 def mean_ci99(values) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and 99% confidence half-width over axis 0 (the replications) of
-    a float array. Both sums add left to right, as `left_sum` does:
-    np.add.accumulate is sequential along its axis. One value has no
+    """Mean and 99% confidence half-width over axis 0 of a float array: the
+    replications of a transient's points (replications x points x metrics)
+    or of a sweep's cells (replications x metrics), or the samples of a
+    sweep window (samples x metrics), each row in SUMMARY_METRICS order as
+    `Sample.values` gives it. Both sums add left to right, as `left_sum`
+    does: np.add.accumulate is sequential along its axis. One value has no
     spread to estimate, so its half-width is nan, not 0."""
     a = np.asarray(values, dtype=float)
     n = len(a)
@@ -156,9 +151,9 @@ def _distinct(occupancies: list[list[int]], pad: int) -> tuple[list[int], np.nda
 
     Cells are taken link by link, each link's in state order, and a cell
     whose int is the one before it repeats it, so its index is that of the
-    last new cell. `SpectrumState` replaces a link's int exactly when the
-    link changes, so a link that kept its spectrum between two states
-    repeats; equal ints held as distinct objects count twice."""
+    last new cell. By `SpectrumState`'s rule, a link that kept its spectrum
+    between two states repeats; equal ints held as distinct objects count
+    twice."""
     states = len(occupancies)
     cells = list(chain.from_iterable(zip(*occupancies)))
     cells += [pad] * states
@@ -278,9 +273,8 @@ def compute_alpha(state: SpectrumState) -> float | None:
 
 
 def compute_beta(state: SpectrumState, paths: BetaPathSet) -> float | None:
-    """Continuity component over the trail cover; None when nothing is free
-    on any trail. A trail with no free slice anywhere contributes its
-    no-fragmentation value 1."""
+    """Continuity component over the trail cover, as `_betas` takes it;
+    None when nothing is free on any trail."""
     _, _, cn, avail = _batch_runs([state.occ], state.slice_count, paths.hop_index)
     return _betas(cn, avail)[0]
 
@@ -370,11 +364,8 @@ def snapshot_report(state: SpectrumState, paths: BetaPathSet,
 def snapshot_reports(occupancies: list[list[int]], slice_count: int, paths: BetaPathSet,
                      bounds: MetricBounds) -> list[FragmentationReport]:
     """The report of each state in a batch, each state given as its list of
-    per-link busy bitmaps (`SpectrumState.occ`); the whole batch shares the
-    kernel's numpy calls.
-
-    A component with nothing free contributes its no-fragmentation value 1;
-    a fully busy spectrum reports avfm = 0."""
+    per-link busy bitmaps (`SpectrumState.occ`), scored together by
+    `_batch_runs`."""
     longest, free, cn, avail = _batch_runs(occupancies, slice_count, paths.hop_index)
     return [_report(alpha, beta, lefm, util, el, bounds)
             for (alpha, lefm, util, el), beta

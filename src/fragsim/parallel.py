@@ -1,15 +1,4 @@
-"""A forked map: `run_forked` runs the first part of a list in this process
-and each other part in a forked child of its own.
-
-`os.fork` hands each child the parent's memory, closures included, so no
-function is pickled: only each child's result, or its exception, travels
-back, through one pipe per child. Every child is forked before the parent
-runs its own part, so each starts from the parent's memory as it was before
-any part ran, and a run of n parts forks n - 1 children and keeps the
-parent at work beside them rather than idle. The parent reaps every child
-before `run_forked` returns or raises. This module is imported only by a
-run that forks, so a run that does not never compiles it.
-"""
+"""A forked map over the parts of a list: `run_forked`."""
 
 from __future__ import annotations
 
@@ -42,13 +31,16 @@ def _child(run, part, w: int):
 def run_forked(run, parts: list) -> tuple[list, int]:
     """([run(part) for part in parts], the largest `ru_maxrss` of the
     children): a forked child runs each part after the first, and this
-    process runs `parts[0]` once they have all been started. The peak is
-    read from `os.wait4` as each child is reaped, so it covers these
-    children only (KiB on Linux); the parent's own part shows in the
-    parent's own peak. A child's exception is raised here with its type and
-    message, caused by its traceback, and one from `parts[0]` is raised as
-    it is. Every child is reaped before this returns or raises; if it
-    raises, the children still running are killed first."""
+    process runs `parts[0]` once they have all been started, so each child
+    starts from this process's memory as it was before any part ran. A
+    child inherits `run` with that memory, so nothing is pickled on the way
+    out; only its result, or its exception, comes back, through a pipe of
+    its own. The peak is read from `os.wait4` as each child is reaped, so
+    it covers these children only (KiB on Linux); the parent's own part
+    shows in the parent's own peak. A child's exception is raised here with
+    its type and message, caused by its traceback, and one from `parts[0]`
+    is raised as it is. Every child is reaped before this returns or
+    raises; if it raises, the children still running are killed first."""
     children, peak = [], 0  # children: (pid, read end of its pipe)
     try:
         for part in parts[1:]:

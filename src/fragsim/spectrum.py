@@ -1,22 +1,11 @@
 """Per-link slice occupancy bitmaps and first-fit allocation.
 
-Each link's spectrum is one Python integer used as a bitmask (bit j set =
-slice j busy), and these bitmaps are the only spectrum state: a link's free
-count is `slice_count - occ.bit_count()`, and utilization is derived from
-them when asked for, so nothing is kept in step by hand. Word-parallel
-scans below are bit-exact with a naive per-bit loop; the test suite checks
-that against an independent oracle.
-
-A window of slices travels as its mask, the int with exactly its bits set:
-`find_first_fit` returns one, and `allocate` and `release` take one, so an
-admission never leaves the bitmaps. `SliceRange(start, width)` is the
-readable form of a window; `SliceRange.mask` and `SliceRange.from_mask`
-convert between the two.
-
-The metrics read the bitmaps themselves, through
-`metrics.snapshot_reports`. `max_contiguous_free` and `free_bits` are not
-on that path; they are the per-link answers the tests check it against,
-and the benchmark's per-layer trace names them.
+Each link's spectrum is one Python int used as a bitmask (bit j set =
+slice j busy), and these bitmaps are the only spectrum state. A window of
+slices is its mask, the int with exactly the window's slices set:
+`SpectrumState.find_first_fit` returns one, and `SpectrumState.allocate`
+and `SpectrumState.release` take one. `SliceRange(start, width)` is the
+readable form of a window.
 """
 
 from __future__ import annotations
@@ -48,7 +37,9 @@ class SliceRange(NamedTuple):
 
 
 class SpectrumState:
-    """Occupancy bitmaps for all links of one topology."""
+    """Occupancy bitmaps for all links of one topology, in `occ`. A link's
+    int is replaced when the link changes, and only then, so `is not`
+    against an earlier copy of `occ` finds the links that changed."""
 
     def __init__(self, link_count: int, slice_count: int):
         self.link_count = link_count
@@ -57,28 +48,15 @@ class SpectrumState:
         self.occ = [0] * link_count
 
     def max_contiguous_free(self, link: int) -> int:
-        """Length of the longest run of free slices on one link.
-
-        Bit j of `g` marks a run of at least `n` free slices starting at
-        slice j. Doubling `n` finds the largest power of two not above the
-        longest run; halving steps then add its lower bits, highest first."""
-        g = ~self.occ[link] & self._full
-        if not g:
-            return 0
-        n = 1
-        while h := g & (g >> n):
-            g = h
-            n *= 2
-        step = n // 2
-        while step:
-            if h := g & (g >> step):
-                g = h
-                n += step
-            step //= 2
-        return n
+        """Length of the longest run of free slices on one link. No run calls
+        it: the benchmark's trace names it, and tests check
+        `metrics._batch_runs` against it."""
+        free = format(~self.occ[link] & self._full, f"0{self.slice_count}b")
+        return max(map(len, free.split("0")))
 
     def free_bits(self, link: int) -> np.ndarray:
-        """Free map of one link as a 0/1 vector, slice 0 first."""
+        """Free map of one link as a 0/1 vector, slice 0 first. No run calls
+        it: the benchmark's trace names it."""
         nbytes = (self.slice_count + 7) // 8
         raw = (~self.occ[link] & self._full).to_bytes(nbytes, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),

@@ -6,23 +6,18 @@ independent per-node processes, so arrivals come one at a time in time
 order and only departures need a queue. Holding times are exponential,
 widths discrete-uniform on [1, max_demand].
 
-Randomness comes from the counter-based Philox generator keyed by
-(seed, replication index), so replications are independent streams and
-every run is reproducible from its metadata. Every draw is exactly the
-value `Generator.exponential` or `Generator.integers` would give, at a
-fraction of their per-call cost: `_decode` runs numpy's own algorithms on
-the raw Philox words, in numpy over a block of words at a time, and steps
-one draw at a time only through the periods of words where a draw leaves
-the fast path, about once in 23 demands.
+Each stream draws from the counter-based Philox generator keyed by (seed,
+replication index), so replications are independent streams and every run
+is reproducible from its metadata. Every draw is exactly the value
+`Generator.exponential` or `Generator.integers` would give; `_decode`
+states how.
 
-Decoding the words into standard draws (e1, src, dst, width, e2) is most of
-the cost; scaling them by a profile (`_demands`) is cheap. The sharing
-rule: streams with one seed, replication, node count and max_demand have
-the same standard draws, whatever their rates and holding times. A `Draws`
-decodes them once and replays its record to every `DemandGenerator` given
-it, so the loads of a replication use common random numbers (Law,
-*Simulation Modeling and Analysis*, 5th ed., 2015, ch. 11), each exactly as
-if it had decoded alone.
+The sharing rule: streams with one seed, replication, node count and
+max_demand have the same standard draws (e1, src, dst, width, e2),
+whatever their rates and holding times. A `Draws` decodes them once for
+every `DemandGenerator` given it, so the loads of a replication use common
+random numbers (Law, *Simulation Modeling and Analysis*, 5th ed., 2015,
+ch. 11), each exactly as if it had decoded alone.
 """
 
 from __future__ import annotations
@@ -40,8 +35,7 @@ import numpy as np
 
 RNG_NAME = "philox4x64"
 
-# raw Philox words fetched per call: the block that `_decode` marks and
-# reads in numpy (its words after the last whole fast-path period carry over)
+# raw Philox words that `_decode` fetches per call
 WORD_BLOCK = 1024
 
 _WORD = 0xFFFFFFFF  # low 32-bit half of a raw Philox word
@@ -160,8 +154,8 @@ def _one_demand(word: Callable[[], int], kept: int | None,
                 bounds: list[tuple[int, int]]) -> tuple[tuple, int | None]:
     """One demand's standard draws (e1, src, dst, width, e2) from the raw
     words that `word` gives and the kept high half-word, if any, and the
-    half-word it keeps for the next demand: numpy's algorithms, step by
-    step, which `_decode` runs only where a draw leaves its fast path."""
+    half-word it keeps for the next demand: the algorithms `_decode`
+    states, one step at a time."""
     w = word()
     ri, idx = w >> 11, (w >> 3) & 0xFF
     e1 = ri * _WE[idx] if ri < _KE[idx] else standard_exponential_unlikely(word, ri, idx)
@@ -254,8 +248,7 @@ def _decode(bit_generator: np.random.Philox, n: int, max_demand: int) -> Iterato
     factors = np.array([bound for bound, _ in bounds], dtype=np.uint64)
 
     def block(words):
-        """The demands of `words`, and the words left over. No half is
-        kept between blocks: each ends after a whole period."""
+        """The demands of `words`, and the words left over."""
         starts = len(words) - length + 1  # a whole period fits from 0..starts-1
         if starts <= 0:
             return [[]] * 5, words
@@ -349,8 +342,7 @@ class Draws:
         # imported here: a shared library whose pages only a recording run needs
         from array import array
         self.key = stream_key(profile, node_count, replication)
-        self.bit_generator = _philox(profile, replication)
-        self._decoded = _decode(self.bit_generator, node_count, profile.max_demand)
+        self._decoded = _decode(_philox(profile, replication), node_count, profile.max_demand)
         self._columns = tuple(map(array, "dIIQd"))
 
     def chunks(self) -> Iterator[Iterable[tuple]]:
@@ -385,10 +377,9 @@ class DemandGenerator:
         if node_count < 2:
             raise ValueError("need at least 2 nodes")
         if draws is None:
-            self.bit_generator = _philox(profile, replication)
-            chunks = starmap(zip, _decode(self.bit_generator, node_count, profile.max_demand))
+            chunks = starmap(zip, _decode(_philox(profile, replication), node_count,
+                                          profile.max_demand))
         elif draws.key == stream_key(profile, node_count, replication):
-            self.bit_generator = draws.bit_generator
             chunks = draws.chunks()
         else:
             raise ValueError(f"stream {stream_key(profile, node_count, replication)} "

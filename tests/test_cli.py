@@ -635,6 +635,26 @@ class TestMakePaths:
         assert 'must hold a JSON object {"paths": [[node, node, ...], ...]}' in err
         assert "Traceback" not in err
 
+    def test_metadata_names_the_cover_by_its_make_paths_digest(self, capsys, tmp_path):
+        # the same digest whether the run builds its cover or loads the file
+        # make-paths wrote; a hand-written cover is named as make-paths would
+        # write its trails
+        topo = data_file("net_a.json")
+        cover = tmp_path / "paths.json"
+        assert run_cli(capsys, "make-paths", "--topology", topo, "--out", str(cover))[0] == 0
+        with open(data_file("net_a_paths.json")) as fh:
+            curated = json.dumps({"paths": json.load(fh)["paths"]}, indent=2) + "\n"
+        digests = []
+        for paths in ([], ["--paths", str(cover)], ["--paths", data_file("net_a_paths.json")]):
+            out = tmp_path / f"exp{len(digests)}"
+            assert run_cli(capsys, "transient", "--topology", topo, "--load", "3",
+                           "--max-demand", "2", "--arrivals", "50", "--replications", "2",
+                           "--out", str(out), *paths)[0] == 0
+            digests.append(json.loads((out / "metadata.json").read_text())["cover_sha256"])
+        built = hashlib.sha256(cover.read_bytes()).hexdigest()
+        assert digests == [built, built, hashlib.sha256(curated.encode()).hexdigest()]
+        assert digests[2] != built
+
     def test_shipped_net_a_paths_file_loads(self, capsys):
         code, _, _ = run_cli(capsys, "dump-state",
                              "--topology", data_file("net_a.json"),
@@ -662,6 +682,33 @@ class TestExperiments:
         assert meta["experiment"] == "transient"
         assert meta["rng"] == "philox4x64"
         assert len(meta["topology_sha256"]) == 64
+
+    @pytest.mark.parametrize("change", ["delete", "replace"])
+    def test_topology_digest_is_of_the_bytes_loaded(self, capsys, tmp_path, monkeypatch,
+                                                    change):
+        # the topology file is deleted or rewritten while the experiment
+        # runs: the run still ends well, and its metadata names what it read
+        topo = tmp_path / "topology.json"
+        with open(data_file("fig_example.json"), "rb") as fh:
+            loaded = fh.read()
+        topo.write_bytes(loaded)
+        run_transient = fragsim.cli.run_transient
+
+        def changing_file(*args):
+            if change == "delete":
+                topo.unlink()
+            else:
+                topo.write_text('{"nodes": 2, "slice_count": 8, "fibers": [[0, 1]]}')
+            return run_transient(*args)
+
+        monkeypatch.setattr(fragsim.cli, "run_transient", changing_file)
+        out = tmp_path / "exp"
+        code, _, err = run_cli(capsys, "transient", "--topology", str(topo), "--load", "3",
+                               "--max-demand", "2", "--arrivals", "50", "--replications", "2",
+                               "--out", str(out))
+        assert (code, err) == (0, "")
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["topology_sha256"] == hashlib.sha256(loaded).hexdigest()
 
     def test_one_replication_has_no_interval(self, capsys, tmp_path):
         # one run has no spread to estimate: every half-width reads nan, not 0

@@ -59,8 +59,8 @@ def test_cli_bytes_and_metadata_forked_and_in_process(name, tmp_path, monkeypatc
         written[fork] = {f: (out / f).read_bytes() for f in digests}
         meta = json.loads((out / "metadata.json").read_text())
         assert len(pids) == (1 if fork else 0)
-        keys = {"config", "topology_sha256", "rng", "version", "experiment", "clamp_events",
-                "processes", "demand_streams", "part_wall_s"}
+        keys = {"config", "topology_sha256", "cover_sha256", "rng", "version", "experiment",
+                "clamp_events", "processes", "demand_streams", "part_wall_s"}
         assert set(meta) == keys | ({"worker_peak_rss_mb"} if fork else set())
         assert meta["processes"] == (2 if fork else 1)
         assert len(meta["part_wall_s"]) == meta["processes"] and min(meta["part_wall_s"]) > 0

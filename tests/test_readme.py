@@ -1,12 +1,17 @@
-"""The README against the code. It names docstrings instead of restating
-what they say, so each name it gives must still lead somewhere: every
-backticked dotted name that points into fragsim resolves, and the Library
-section's import line runs and imports what the package exports."""
+"""The README and the src docstrings against the code. They name the one
+place that states a mechanism instead of restating it, so each name they
+give must still lead somewhere: every backticked dotted name that points
+into fragsim resolves, and so does every backticked `_private` name of a
+src docstring or comment. The Library section's import line runs and
+imports what the package exports."""
 
 import ast
 import importlib
+import inspect
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import fragsim
@@ -22,17 +27,47 @@ CLASSES = {name: obj for mod in MODULES.values() for name, obj in vars(mod).item
            if isinstance(obj, type) and obj.__module__ == mod.__name__}
 # the places that state a rule which the README only names
 RULES = ("engine.Simulation.take_sample", "engine._workers", "engine._replicate",
-         "fragsim.traffic", "spectrum.SpectrumState.find_first_fit", "fragsim.cli")
+         "fragsim.traffic", "spectrum.SpectrumState.find_first_fit", "fragsim.cli",
+         "engine.Simulation._advance", "fragsim.spectrum", "traffic.EventQueue",
+         "traffic._decode", "parallel.run_forked", "metrics.mean_ci99",
+         "cover.min_trail_cover")
+
+
+DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
+
+
+def names_in(text: str, pattern: str = DOTTED):
+    """The names of the backticked spans of `text` that are a `pattern`
+    name, with or without "()", file names aside."""
+    for span in re.findall(r"`([^`]+)`", text):
+        m = re.fullmatch(f"({pattern})(?:\\(\\))?", span)
+        if m and not re.search(r"\.(py|json|toml|txt|csv)$", span):
+            yield m.group(1)
 
 
 def dotted_names():
-    """Backticked `a.b.c` or `a.b.c()` spans of the README's prose, file
-    names aside."""
-    prose = re.sub(r"```.*?```", "", README, flags=re.S)
-    for span in re.findall(r"`([^`]+)`", prose):
-        m = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?", span)
-        if m and not re.search(r"\.(py|json|toml|txt|csv)$", span):
-            yield m.group(1)
+    """Backticked `a.b.c` or `a.b.c()` spans of the README's prose."""
+    yield from names_in(re.sub(r"```.*?```", "", README, flags=re.S))
+
+
+def src_names():
+    """(module, name) of each backticked dotted or `_private` name in the
+    docstrings and comments of fragsim's modules. A comment is read with
+    the comment lines right above and below it."""
+    for module, mod in MODULES.items():
+        source = Path(mod.__file__).read_text()
+        nodes = ast.walk(ast.parse(source))
+        texts = [ast.get_docstring(node) or "" for node in nodes
+                 if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        last = None
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                if last != tok.start[0] - 1:
+                    texts.append("")
+                texts[-1] += tok.string + "\n"
+                last = tok.start[0]
+        for text in texts:
+            yield from ((module, name) for name in names_in(text, DOTTED + r"|_\w+"))
 
 
 def sim():
@@ -40,9 +75,30 @@ def sim():
     return Simulation(t, DemandProfile(1.0, 1.0, 2, 1), build_beta_paths(t))
 
 
-def resolve(name: str):
-    """The object a README name points to, or None if it points outside
-    fragsim; AttributeError if it points into fragsim at nothing."""
+def instance_attributes(cls: type) -> set[str]:
+    """The attributes a class's instances get beyond the class's own: its
+    annotated fields and the `self.name` targets of its __init__."""
+    body = ast.parse(inspect.getsource(cls)).body[0].body
+    names = {node.target.id for node in body if isinstance(node, ast.AnnAssign)}
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            names |= {target.attr for target in ast.walk(node)
+                      if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                      and isinstance(target.value, ast.Name) and target.value.id == "self"}
+    return names
+
+
+def attribute(obj, name: str):
+    """getattr, or for an attribute that a class's instances get, the class."""
+    if hasattr(obj, name) or not (isinstance(obj, type) and name in instance_attributes(obj)):
+        return getattr(obj, name)
+    return obj
+
+
+def resolve(name: str, module=None):
+    """The object a name points to, or None if it points outside fragsim;
+    AttributeError if it points into fragsim at nothing. A bare name is
+    looked up in `module` and then in the classes it defines."""
     head, *parts = name.split(".")
     if head == "fragsim":
         obj = fragsim
@@ -52,10 +108,18 @@ def resolve(name: str):
         obj = CLASSES[head]
     elif head == "sim":  # the Library section's Simulation
         obj = sim()
+    elif module is not None and not parts:
+        owners = [module] + [cls for cls in CLASSES.values() if cls.__module__ == module.__name__]
+        for owner in owners:
+            try:
+                return attribute(owner, head)
+            except AttributeError:
+                pass
+        raise AttributeError(f"{module.__name__} names {head}, which it does not define")
     else:
         return None
     for part in parts:
-        obj = getattr(obj, part)
+        obj = attribute(obj, part)
     return obj
 
 
@@ -70,6 +134,20 @@ def test_readme_names_resolve():
             unresolved.append(name)
     assert unresolved == []
     assert all(resolve(name).__doc__.strip() for name in RULES)
+
+
+def test_src_names_resolve():
+    names = sorted(set(src_names()))
+    # read from a docstring, a comment, and through the instance and method lookups
+    assert {("metrics", "SpectrumState.occ"), ("engine", "_advance"),
+            ("spectrum", "metrics._batch_runs"), ("traffic", "_decode")} <= set(names)
+    unresolved = []
+    for module, name in names:
+        try:
+            resolve(name, MODULES[module])
+        except AttributeError:
+            unresolved.append((module, name))
+    assert unresolved == []
 
 
 def test_library_import_line_runs_and_is_the_package_surface():

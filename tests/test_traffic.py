@@ -182,9 +182,9 @@ def stream_digest(n, max_demand):
 @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
 def test_key_below_2_pow_63_is_unchanged(seed):
     # the key was once the plain list [seed, replication]; its streams stay
-    gen = DemandGenerator(DemandProfile(1.0, 1.0, 16, seed), 3, replication=4)
+    philox = traffic._philox(DemandProfile(1.0, 1.0, 16, seed), 4)
     want = np.random.Philox(key=[seed, 4]).random_raw(8)
-    assert gen.bit_generator.random_raw(8).tolist() == want.tolist()
+    assert philox.random_raw(8).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("n,max_demand", STREAM_PINS)
@@ -327,17 +327,22 @@ def philox_position(bit_generator):
     return state["state"]["counter"].tolist(), state["buffer_pos"]
 
 
-def test_no_word_is_fetched_before_the_first_demand():
+def test_no_word_is_fetched_before_the_first_demand(monkeypatch):
     # a generator or a Draws is built lazily: its bit generator stays at the
     # start of the stream until a demand is read
+    made, philox = [], traffic._philox
+    monkeypatch.setattr(traffic, "_philox", lambda *a: made.append(philox(*a)) or made[-1])
     profile = DemandProfile(1.0, 1.0, 16, 5)
     start = philox_position(np.random.Philox(key=[5, 2]))
     draws = traffic.Draws(profile, 14, 2)
     draws.chunks()  # a generator: nothing runs until it is read
-    for gen in (DemandGenerator(profile, 14, 2), DemandGenerator(profile, 14, 2, draws)):
-        assert philox_position(gen.bit_generator) == start
+    alone = DemandGenerator(profile, 14, 2)
+    assert len(made) == 2  # the Draws' bit generator and the lone generator's
+    reader = DemandGenerator(profile, 14, 2, draws)
+    for gen, bit_generator in ((alone, made[1]), (reader, made[0])):
+        assert philox_position(bit_generator) == start
         next(gen.stream)
-        assert philox_position(gen.bit_generator) != start
+        assert philox_position(bit_generator) != start
 
 
 @pytest.mark.parametrize("seed,max_demand,n,replication", [(6, 16, 14, 0), (5, 8, 14, 0),
